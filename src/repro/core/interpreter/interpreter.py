@@ -8,7 +8,7 @@ and its translation into MD schema and ETL process designs", §1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.core.interpreter.etl_generation import EtlGenerator
@@ -34,12 +34,22 @@ class PartialDesign:
     plugging those in, assuming sound designs that satisfy the
     requirement — which :meth:`repro.core.quarry.Quarry.add_partial_design`
     re-checks anyway).
+
+    ``trees`` holds the artefact's XML→JSON trees, keyed ``xrq``,
+    ``xmd`` and ``xlm``: encoded once (the requirement by elicitation,
+    the design by interpretation) and then shared by the bus payload,
+    the repository documents and every later save, so they must never
+    be mutated in place.  A bare interpreter result carries none; the
+    interpretation service attaches them.
     """
 
     requirement: InformationRequirement
     mapping: "RequirementMapping | None"
     md_schema: MDSchema
     etl_flow: EtlFlow
+    trees: Dict[str, dict] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 class Interpreter:

@@ -330,7 +330,7 @@ class EvolutionService:
             mutate()
             fresh = {
                 requirement_id: self._interpretation.reinterpret(
-                    old_partials[requirement_id].requirement
+                    old_partials[requirement_id]
                 )
                 for requirement_id in affected
             }

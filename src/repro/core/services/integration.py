@@ -12,11 +12,18 @@ every commit — requirement, partial design, unified design, the fold
 checkpoint and the insertion order — so a reloaded session resumes
 incrementally instead of re-integrating from scratch.  Each commit is
 announced as a ``design.committed`` envelope on the ``unified`` topic.
+
+The service encodes each unified fold snapshot into its xMD/xLM trees
+exactly once, when the fold step produces it, and keeps the trees with
+the checkpoint: the checkpoint document and the ``current`` unified
+design share them, and restoring a checkpoint encodes nothing.
+Requirement and partial-design documents store the trees that arrived
+in the partial's envelope.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.integrator import (
     EtlConsolidation,
@@ -34,12 +41,32 @@ from repro.etlmodel.cost import CostModel
 from repro.etlmodel.flow import EtlFlow
 from repro.mdmodel.complexity import ComplexityWeights, DEFAULT_WEIGHTS
 from repro.mdmodel.model import MDSchema
-from repro.xformats import xrq
-from repro.xformats.xmljson import json_to_xml
+from repro.repository.metadata import decode_design
+from repro.xformats import xlm, xmd
+from repro.xformats.xmljson import xml_to_json
 
 TOPIC_UNIFIED = "unified"
 
 KIND_COMMITTED = "design.committed"
+
+
+class _Snapshot(NamedTuple):
+    """One unified design state and its xMD/xLM trees."""
+
+    md_schema: MDSchema
+    etl_flow: EtlFlow
+    xmd_tree: dict
+    xlm_tree: dict
+
+
+def _snapshot(md_schema: MDSchema, etl_flow: EtlFlow) -> _Snapshot:
+    """A unified design state, encoded once."""
+    return _Snapshot(
+        md_schema,
+        etl_flow,
+        xml_to_json(xmd.dumps(md_schema)),
+        xml_to_json(xlm.dumps(etl_flow)),
+    )
 
 
 def retarget_loaders(flow: EtlFlow, md_result: MDIntegration) -> EtlFlow:
@@ -105,13 +132,18 @@ class IntegrationService:
         self._row_counts = row_counts
         self._partials: Dict[str, PartialDesign] = {}
         self._order: List[str] = []
-        self._unified_md = MDSchema(name="unified")
-        self._unified_etl = EtlFlow(name="unified")
+        # The design before any fold step; integrate()/consolidate()
+        # copy their inputs, so it is never mutated and is reused
+        # whenever the fold restarts from scratch.
+        self._empty = _snapshot(
+            MDSchema(name="unified"), EtlFlow(name="unified")
+        )
+        self._unified = self._empty
         # Unified design after each commit, aligned with self._order:
         # _checkpoints[i] is the state after integrating _order[:i + 1].
         # Stored by reference — integrate()/consolidate() copy their
         # inputs, so a committed snapshot is never mutated afterwards.
-        self._checkpoints: List[Tuple[MDSchema, EtlFlow]] = []
+        self._checkpoints: List[_Snapshot] = []
         #: How many MD / ETL integration calls this service has made —
         #: the observable that incremental changes stay sub-linear.
         self.integration_counts: Dict[str, int] = {"md": 0, "etl": 0}
@@ -143,7 +175,7 @@ class IntegrationService:
 
     def unified_design(self) -> Tuple[MDSchema, EtlFlow]:
         """The current unified MD schema and ETL flow."""
-        return self._unified_md, self._unified_etl
+        return self._unified.md_schema, self._unified.etl_flow
 
     def requirements(self) -> List[InformationRequirement]:
         return [
@@ -171,19 +203,9 @@ class IntegrationService:
             return
         partial = envelope.attachment
         if partial is None:  # consumed from a log: decode the payload
-            md_schema, etl_flow = (
-                _interpretation.InterpretationService.decode_partial(envelope)
-            )
-            partial = PartialDesign(
-                requirement=xrq.loads(
-                    json_to_xml(envelope.payload["xrq"])
-                ),
-                mapping=None,
-                md_schema=md_schema,
-                etl_flow=etl_flow,
-            )
+            partial = _interpretation.partial_from_trees(envelope.payload)
         md_result, etl_result = self._integrate_partial(partial)
-        self._commit(partial.requirement, partial, md_result, etl_result)
+        self._commit(partial, md_result, etl_result)
         self._last_commit = (partial, md_result, etl_result)
 
     def _integrate_partial(
@@ -191,31 +213,26 @@ class IntegrationService:
     ) -> Tuple[MDIntegration, EtlConsolidation]:
         """Integrate one partial design into the current unified pair."""
         md_result = self._md_integrator.integrate(
-            self._unified_md, partial.md_schema
+            self._unified.md_schema, partial.md_schema
         )
         self.integration_counts["md"] += 1
         etl_flow = retarget_loaders(partial.etl_flow, md_result)
         etl_result = self._etl_integrator.consolidate(
-            self._unified_etl, etl_flow, row_counts=self._row_counts
+            self._unified.etl_flow, etl_flow, row_counts=self._row_counts
         )
         self.integration_counts["etl"] += 1
         return md_result, etl_result
 
-    def _commit(self, requirement, partial, md_result, etl_result) -> None:
-        self._unified_md = md_result.schema
-        self._unified_etl = etl_result.flow
-        self._partials[requirement.id] = partial
-        self._order.append(requirement.id)
-        self._checkpoints.append((self._unified_md, self._unified_etl))
+    def _commit(self, partial, md_result, etl_result) -> None:
+        requirement_id = partial.requirement.id
+        self._unified = _snapshot(md_result.schema, etl_result.flow)
+        self._partials[requirement_id] = partial
+        self._order.append(requirement_id)
+        self._checkpoints.append(self._unified)
         self.verify_satisfiability()
-        self._repository.save_requirement(requirement)
-        self._repository.save_partial_design(
-            requirement.id, partial.md_schema, partial.etl_flow
-        )
+        self._save_partial(partial)
         self._save_unified()
-        self._repository.save_checkpoint(
-            len(self._checkpoints) - 1, self._unified_md, self._unified_etl
-        )
+        self._save_checkpoint()
         self._announce_commit()
 
     def remove(self, requirement_id: str) -> None:
@@ -255,10 +272,7 @@ class IntegrationService:
             raise QuarryError(f"unknown requirement {requirement_id!r}")
         index = self._order.index(requirement_id)
         self._partials[requirement_id] = partial
-        self._repository.save_requirement(partial.requirement)
-        self._repository.save_partial_design(
-            requirement_id, partial.md_schema, partial.etl_flow
-        )
+        self._save_partial(partial)
         return index
 
     def rebuild(self) -> None:
@@ -275,29 +289,38 @@ class IntegrationService:
         """Restore the checkpoint before ``start`` and re-fold the rest."""
         del self._checkpoints[start:]
         self._repository.truncate_checkpoints(start)
-        if start == 0:
-            self._unified_md = MDSchema(name="unified")
-            self._unified_etl = EtlFlow(name="unified")
-        else:
-            self._unified_md, self._unified_etl = self._checkpoints[start - 1]
+        self._unified = self._checkpoints[start - 1] if start else self._empty
         for requirement_id in self._order[start:]:
             partial = self._partials[requirement_id]
             md_result, etl_result = self._integrate_partial(partial)
-            self._unified_md = md_result.schema
-            self._unified_etl = etl_result.flow
-            self._checkpoints.append((self._unified_md, self._unified_etl))
-            self._repository.save_checkpoint(
-                len(self._checkpoints) - 1,
-                self._unified_md,
-                self._unified_etl,
-            )
+            self._unified = _snapshot(md_result.schema, etl_result.flow)
+            self._checkpoints.append(self._unified)
+            self._save_checkpoint()
         self.verify_satisfiability()
         self._save_unified()
         self._announce_commit()
 
+    def _save_partial(self, partial: PartialDesign) -> None:
+        trees = partial.trees
+        self._repository.save_requirement(partial.requirement, trees["xrq"])
+        self._repository.save_partial_design(
+            partial.requirement.id, trees["xmd"], trees["xlm"]
+        )
+
+    def _save_checkpoint(self) -> None:
+        """Store the newest checkpoint (the current unified design)."""
+        self._repository.save_checkpoint(
+            len(self._checkpoints) - 1,
+            self._unified.xmd_tree,
+            self._unified.xlm_tree,
+        )
+
     def _save_unified(self) -> None:
         self._repository.save_unified_design(
-            "current", self._unified_md, self._unified_etl, list(self._order)
+            "current",
+            self._unified.xmd_tree,
+            self._unified.xlm_tree,
+            list(self._order),
         )
         self._repository.save_session_state(self._order)
 
@@ -307,9 +330,9 @@ class IntegrationService:
             KIND_COMMITTED,
             payload={
                 "requirements": list(self._order),
-                "facts": sorted(self._unified_md.facts),
-                "dimensions": sorted(self._unified_md.dimensions),
-                "etl_operations": len(self._unified_etl),
+                "facts": sorted(self._unified.md_schema.facts),
+                "dimensions": sorted(self._unified.md_schema.dimensions),
+                "etl_operations": len(self._unified.etl_flow),
                 "integration_counts": dict(self.integration_counts),
             },
             producer=self.name,
@@ -331,7 +354,7 @@ class IntegrationService:
         problems: List[str] = []
         level_properties = {
             attribute.property
-            for __, level in self._unified_md.iter_levels()
+            for __, level in self._unified.md_schema.iter_levels()
             for attribute in level.attributes
             if attribute.property is not None
         }
@@ -349,14 +372,14 @@ class IntegrationService:
                         f"{requirement_id}: dimension atom "
                         f"{dimension.property!r} not in any level"
                     )
-            if requirement_id not in self._unified_etl.requirements:
+            if requirement_id not in self._unified.etl_flow.requirements:
                 problems.append(
                     f"{requirement_id}: unified ETL does not cover it"
                 )
         return problems
 
     def _find_serving_fact(self, requirement):
-        for fact in self._unified_md.facts.values():
+        for fact in self._unified.md_schema.facts.values():
             if all(
                 measure.name in fact.measures
                 and fact.measures[measure.name].expression == measure.expression
@@ -377,37 +400,40 @@ class IntegrationService:
         empty) when the store predates persisted session state; the
         caller then falls back to re-adding requirements.
         """
-        state = self._repository.load_session_state()
+        repository = self._repository
+        state = repository.load_session_state()
         if state is None:
             return False
         order = list(state.get("order", []))
-        if self._repository.checkpoint_count() != len(order):
+        if repository.checkpoint_count() != len(order):
             return False  # half-written legacy store: re-add instead
         try:
             partials = {}
             for requirement_id in order:
-                requirement = self._repository.load_requirement(
+                xmd_tree, xlm_tree = repository.partial_design_trees(
                     requirement_id
                 )
-                md_schema, etl_flow = self._repository.load_partial_design(
-                    requirement_id
+                partials[requirement_id] = _interpretation.partial_from_trees(
+                    {
+                        "xrq": repository.requirement_tree(requirement_id),
+                        "xmd": xmd_tree,
+                        "xlm": xlm_tree,
+                    }
                 )
-                partials[requirement_id] = PartialDesign(
-                    requirement=requirement,
-                    mapping=None,
-                    md_schema=md_schema,
-                    etl_flow=etl_flow,
+            checkpoints = []
+            for position in range(len(order)):
+                xmd_tree, xlm_tree = repository.checkpoint_trees(position)
+                checkpoints.append(
+                    _Snapshot(
+                        *decode_design(xmd_tree, xlm_tree), xmd_tree, xlm_tree
+                    )
                 )
-            checkpoints = [
-                self._repository.load_checkpoint(position)
-                for position in range(len(order))
-            ]
         except Exception:
             return False  # damaged store: the legacy path re-derives
         self._partials = partials
         self._order = order
         self._checkpoints = checkpoints
         if checkpoints:
-            self._unified_md, self._unified_etl = checkpoints[-1]
+            self._unified = checkpoints[-1]
         self.verify_satisfiability()
         return True

@@ -10,16 +10,21 @@ one partial design (xMD + xLM) envelope per requirement on the
   along in the envelope; re-validate the §2.2 assumptions (sound MD
   schema, valid typed flow that claims the requirement and carries its
   measures) instead of generating.
+
+The service encodes each partial design it produces into its xMD/xLM
+trees exactly once, and reuses the requirement's xRQ tree from the
+elicitation envelope; the published payload, the repository documents
+and later re-publications all share those trees.
 """
 
 from __future__ import annotations
 
 from repro.core.interpreter import Interpreter, PartialDesign
-from repro.core.requirements.model import InformationRequirement
 from repro.core.services.bus import ArtifactBus
 from repro.core.services.envelope import ArtifactEnvelope
 from repro.errors import QuarryError
 from repro.ontology.model import Ontology
+from repro.repository.metadata import decode_design
 from repro.sources.mappings import SourceMappings
 from repro.sources.schema import SourceSchema
 from repro.xformats import xlm, xmd, xrq
@@ -37,6 +42,20 @@ KIND_REMOVED = "partial.removed"
 #: re-interprets a requirement: the partial is swapped *in place* (the
 #: fold position is kept), unlike created, which appends to the fold.
 KIND_REPLACED = "partial.replaced"
+
+
+def partial_from_trees(trees: dict) -> PartialDesign:
+    """A partial design decoded from its ``xrq``/``xmd``/``xlm`` trees,
+    which it keeps (extra keys, such as a payload's ``requirement``,
+    are ignored)."""
+    md_schema, etl_flow = decode_design(trees["xmd"], trees["xlm"])
+    return PartialDesign(
+        requirement=xrq.loads(json_to_xml(trees["xrq"])),
+        mapping=None,
+        md_schema=md_schema,
+        etl_flow=etl_flow,
+        trees={key: trees[key] for key in ("xrq", "xmd", "xlm")},
+    )
 
 
 class InterpretationService:
@@ -82,41 +101,52 @@ class InterpretationService:
             partial = self._validate_external(envelope)
         else:  # unknown kinds are not for this service
             return
+        self._publish(KIND_CREATED, partial)
+
+    def _publish(self, kind: str, partial: PartialDesign) -> None:
+        """Announce a partial on the bus; its trees are the payload."""
         self._bus.publish(
             TOPIC_PARTIALS,
-            KIND_CREATED,
-            payload={
-                "requirement": partial.requirement.id,
-                "xrq": xml_to_json(xrq.dumps(partial.requirement)),
-                "xmd": xml_to_json(xmd.dumps(partial.md_schema)),
-                "xlm": xml_to_json(xlm.dumps(partial.etl_flow)),
-            },
+            kind,
+            payload={"requirement": partial.requirement.id, **partial.trees},
             producer=self.name,
             attachment=partial,
         )
 
-    def _requirement_of(
-        self, envelope: ArtifactEnvelope
-    ) -> InformationRequirement:
-        if envelope.attachment is not None:
-            attached = envelope.attachment
-            return attached[0] if isinstance(attached, tuple) else attached
-        return xrq.loads(json_to_xml(envelope.payload["xrq"]))
+    @staticmethod
+    def _encode(partial: PartialDesign, xrq_tree: dict) -> PartialDesign:
+        """Attach the partial's trees: the requirement's as elicitation
+        encoded it, the design's encoded here, once."""
+        partial.trees = {
+            "xrq": xrq_tree,
+            "xmd": xml_to_json(xmd.dumps(partial.md_schema)),
+            "xlm": xml_to_json(xlm.dumps(partial.etl_flow)),
+        }
+        return partial
 
     def _interpret(self, envelope: ArtifactEnvelope) -> PartialDesign:
-        return self._interpreter.interpret(self._requirement_of(envelope))
+        requirement = envelope.attachment
+        if requirement is None:
+            requirement = xrq.loads(json_to_xml(envelope.payload["xrq"]))
+        return self._encode(
+            self._interpreter.interpret(requirement), envelope.payload["xrq"]
+        )
 
     def _validate_external(self, envelope: ArtifactEnvelope) -> PartialDesign:
-        """Re-check the §2.2 soundness assumptions on an external design."""
+        """Re-check the §2.2 soundness assumptions on an external design.
+
+        Elicitation encoded the whole triple, so the payload's trees
+        are the partial's trees.
+        """
         from repro.etlmodel.propagation import propagate
         from repro.mdmodel import constraints
 
+        payload = envelope.payload
         if envelope.attachment is not None:
             requirement, md_schema, etl_flow = envelope.attachment
         else:
-            requirement = xrq.loads(json_to_xml(envelope.payload["xrq"]))
-            md_schema = xmd.loads(json_to_xml(envelope.payload["xmd"]))
-            etl_flow = xlm.loads(json_to_xml(envelope.payload["xlm"]))
+            requirement = xrq.loads(json_to_xml(payload["xrq"]))
+            md_schema, etl_flow = self.decode_partial(envelope)
         requirement.check(self._ontology)
         constraints.check(md_schema)
         etl_flow.check()
@@ -140,36 +170,27 @@ class InterpretationService:
             mapping=None,
             md_schema=md_schema,
             etl_flow=etl_flow,
+            trees={key: payload[key] for key in ("xrq", "xmd", "xlm")},
         )
 
     # -- evolution support -------------------------------------------------
 
-    def reinterpret(self, requirement: InformationRequirement) -> PartialDesign:
-        """Interpret a requirement against the *current* (evolved) domain."""
-        return self._interpreter.interpret(requirement)
+    def reinterpret(self, partial: PartialDesign) -> PartialDesign:
+        """Interpret a partial's requirement against the *current*
+        (evolved) domain; the requirement itself, and so its tree, is
+        unchanged."""
+        return self._encode(
+            self._interpreter.interpret(partial.requirement),
+            partial.trees["xrq"],
+        )
 
     def publish_replacement(self, partial: PartialDesign) -> None:
         """Announce an in-place partial swap (design evolution) on the bus."""
-        self._bus.publish(
-            TOPIC_PARTIALS,
-            KIND_REPLACED,
-            payload={
-                "requirement": partial.requirement.id,
-                "xrq": xml_to_json(xrq.dumps(partial.requirement)),
-                "xmd": xml_to_json(xmd.dumps(partial.md_schema)),
-                "xlm": xml_to_json(xlm.dumps(partial.etl_flow)),
-            },
-            producer=self.name,
-            attachment=partial,
-        )
+        self._publish(KIND_REPLACED, partial)
 
     # -- replay support ----------------------------------------------------
 
     @staticmethod
     def decode_partial(envelope: ArtifactEnvelope):
         """(md_schema, etl_flow) rebuilt purely from a logged envelope."""
-        document = envelope.payload
-        return (
-            xmd.loads(json_to_xml(document["xmd"])),
-            xlm.loads(json_to_xml(document["xlm"])),
-        )
+        return decode_design(envelope.payload["xmd"], envelope.payload["xlm"])

@@ -8,7 +8,8 @@ The original system "uses a MongoDB instance as a storage repository"
 * :mod:`repro.repository.store` — JSON-file persistence of a store,
 * :mod:`repro.repository.metadata` — the typed metadata catalog Quarry
   components read and write (requirements, partial/unified designs,
-  ontologies, mappings), with XML↔JSON conversion at the boundary.
+  ontologies, mappings), stored as the XML→JSON trees the producing
+  services encoded and decoded back to model objects on load.
 """
 
 from repro.repository.documents import Collection, DocumentStore

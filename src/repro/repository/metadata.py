@@ -7,7 +7,11 @@ unified designs, domain ontologies and source schema mappings.
 
 Artefacts cross the boundary in their XML formats (xRQ/xMD/xLM) and are
 stored as JSON documents via the generic converter — mirroring the
-MongoDB + XML-JSON-XML parser of §2.6.
+MongoDB + XML-JSON-XML parser of §2.6.  The repository never encodes:
+the service that produces an artefact converts it to its XML→JSON tree
+once, and the ``save_*`` methods store that tree as given, shared with
+the bus payload that announced it.  Stored trees must therefore never
+be mutated in place.  The ``load_*`` methods decode them back.
 
 A repository is a *view* over a shared document store, scoped by a
 session **namespace**: the default namespace (``""``) uses the plain
@@ -30,7 +34,7 @@ from repro.ontology.model import Ontology
 from repro.repository.documents import Collection, DocumentStore
 from repro.repository import store as file_store
 from repro.xformats import xlm, xmd, xrq
-from repro.xformats.xmljson import json_to_xml, xml_to_json
+from repro.xformats.xmljson import json_to_xml
 
 REQUIREMENTS = "requirements"
 PARTIAL_DESIGNS = "partial_designs"
@@ -46,6 +50,11 @@ SESSIONS = "sessions"
 #: The session name that maps to the unprefixed namespace — what every
 #: pre-session store (and the `Quarry` facade) uses.
 DEFAULT_SESSION = "default"
+
+
+def decode_design(xmd_tree: dict, xlm_tree: dict) -> Tuple[MDSchema, EtlFlow]:
+    """The (MD schema, ETL flow) pair stored as xMD/xLM trees."""
+    return xmd.loads(json_to_xml(xmd_tree)), xlm.loads(json_to_xml(xlm_tree))
 
 
 def namespaced(collection_name: str, namespace: str) -> str:
@@ -129,20 +138,25 @@ class MetadataRepository:
 
     # -- requirements -----------------------------------------------------------
 
-    def save_requirement(self, requirement: InformationRequirement) -> str:
-        """Store a requirement (xRQ -> JSON document)."""
+    def save_requirement(
+        self, requirement: InformationRequirement, xrq_tree: dict
+    ) -> str:
+        """Store a requirement as its xRQ tree."""
         document = {
             "_id": requirement.id,
             "kind": "requirement",
             "description": requirement.description,
-            "xrq": xml_to_json(xrq.dumps(requirement)),
+            "xrq": xrq_tree,
         }
         self._collection(REQUIREMENTS).replace(document)
         return requirement.id
 
+    def requirement_tree(self, requirement_id: str) -> dict:
+        """The stored xRQ tree of a requirement."""
+        return self._collection(REQUIREMENTS).get(requirement_id)["xrq"]
+
     def load_requirement(self, requirement_id: str) -> InformationRequirement:
-        document = self._collection(REQUIREMENTS).get(requirement_id)
-        return xrq.loads(json_to_xml(document["xrq"]))
+        return xrq.loads(json_to_xml(self.requirement_tree(requirement_id)))
 
     def delete_requirement(self, requirement_id: str) -> None:
         self._collection(REQUIREMENTS).delete(requirement_id)
@@ -156,33 +170,31 @@ class MetadataRepository:
     # -- partial designs ---------------------------------------------------------
 
     def save_partial_design(
-        self,
-        requirement_id: str,
-        md_schema: MDSchema,
-        etl_flow: EtlFlow,
+        self, requirement_id: str, xmd_tree: dict, xlm_tree: dict
     ) -> str:
-        """Store the partial designs generated for one requirement."""
+        """Store one requirement's partial design as its xMD/xLM trees."""
         doc_id = f"partial::{requirement_id}"
         document = {
             "_id": doc_id,
             "kind": "partial_design",
             "requirement": requirement_id,
-            "xmd": xml_to_json(xmd.dumps(md_schema)),
-            "xlm": xml_to_json(xlm.dumps(etl_flow)),
+            "xmd": xmd_tree,
+            "xlm": xlm_tree,
         }
         self._collection(PARTIAL_DESIGNS).replace(document)
         return doc_id
 
-    def load_partial_design(
-        self, requirement_id: str
-    ) -> Tuple[MDSchema, EtlFlow]:
+    def partial_design_trees(self, requirement_id: str) -> Tuple[dict, dict]:
+        """The stored (xMD, xLM) trees of a requirement's partial design."""
         document = self._collection(PARTIAL_DESIGNS).get(
             f"partial::{requirement_id}"
         )
-        return (
-            xmd.loads(json_to_xml(document["xmd"])),
-            xlm.loads(json_to_xml(document["xlm"])),
-        )
+        return document["xmd"], document["xlm"]
+
+    def load_partial_design(
+        self, requirement_id: str
+    ) -> Tuple[MDSchema, EtlFlow]:
+        return decode_design(*self.partial_design_trees(requirement_id))
 
     def partial_design_ids(self) -> List[str]:
         return [
@@ -195,17 +207,17 @@ class MetadataRepository:
     def save_unified_design(
         self,
         name: str,
-        md_schema: MDSchema,
-        etl_flow: EtlFlow,
+        xmd_tree: dict,
+        xlm_tree: dict,
         satisfied_requirements: List[str],
     ) -> str:
-        """Store a unified design solution version."""
+        """Store a unified design solution version as its xMD/xLM trees."""
         document = {
             "_id": name,
             "kind": "unified_design",
             "requirements": sorted(satisfied_requirements),
-            "xmd": xml_to_json(xmd.dumps(md_schema)),
-            "xlm": xml_to_json(xlm.dumps(etl_flow)),
+            "xmd": xmd_tree,
+            "xlm": xlm_tree,
         }
         self._collection(UNIFIED_DESIGNS).replace(document)
         return name
@@ -213,8 +225,7 @@ class MetadataRepository:
     def load_unified_design(self, name: str) -> Tuple[MDSchema, EtlFlow, List[str]]:
         document = self._collection(UNIFIED_DESIGNS).get(name)
         return (
-            xmd.loads(json_to_xml(document["xmd"])),
-            xlm.loads(json_to_xml(document["xlm"])),
+            *decode_design(document["xmd"], document["xlm"]),
             list(document["requirements"]),
         )
 
@@ -224,27 +235,26 @@ class MetadataRepository:
     # -- integration checkpoints --------------------------------------------------------
 
     def save_checkpoint(
-        self, position: int, md_schema: MDSchema, etl_flow: EtlFlow
+        self, position: int, xmd_tree: dict, xlm_tree: dict
     ) -> str:
-        """Store the unified design checkpoint after fold position ``position``."""
+        """Store the unified design checkpoint after fold position
+        ``position`` as its xMD/xLM trees."""
         doc_id = f"ckpt::{position:06d}"
         self._collection(CHECKPOINTS).replace(
             {
                 "_id": doc_id,
                 "kind": "checkpoint",
                 "position": position,
-                "xmd": xml_to_json(xmd.dumps(md_schema)),
-                "xlm": xml_to_json(xlm.dumps(etl_flow)),
+                "xmd": xmd_tree,
+                "xlm": xlm_tree,
             }
         )
         return doc_id
 
-    def load_checkpoint(self, position: int) -> Tuple[MDSchema, EtlFlow]:
+    def checkpoint_trees(self, position: int) -> Tuple[dict, dict]:
+        """The stored (xMD, xLM) trees of the checkpoint at ``position``."""
         document = self._collection(CHECKPOINTS).get(f"ckpt::{position:06d}")
-        return (
-            xmd.loads(json_to_xml(document["xmd"])),
-            xlm.loads(json_to_xml(document["xlm"])),
-        )
+        return document["xmd"], document["xlm"]
 
     def truncate_checkpoints(self, start: int) -> int:
         """Drop every checkpoint at fold position >= ``start``."""

@@ -19,7 +19,19 @@ GET       /sessions/<name>/jobs/<id>             job status/result/error
 ========  =====================================  ==============================
 
 Errors come back as ``{"error": message}`` with 400 (bad input), 404
-(unknown session/requirement), 409 (conflict) or 500.
+(unknown session/requirement), 409 (conflict), 411 (a
+``Transfer-Encoding`` body), 413 (body above :data:`MAX_BODY_BYTES`)
+or 500.  The declared body is read before routing, so every answer — a
+404 included — leaves a keep-alive connection at the next request.  A
+``Content-Length`` that is not a non-negative integer (400) or that
+exceeds the cap (413), and a chunked body (411), leave no way to find
+the next request, so those answers close the connection.
+
+Transport: accepted connections run with Nagle's algorithm off, so a
+reply's header and body writes leave at once instead of waiting for
+the client's delayed ACK, and the listen backlog is
+:data:`LISTEN_BACKLOG`, not the stdlib's 5, so bursts of new
+connections queue instead of overflowing into SYN retransmits.
 
 Concurrency model: the HTTP server is threaded (one handler thread per
 connection); the :class:`SessionManager` serialises all work *within* a
@@ -60,6 +72,16 @@ from repro.repository.metadata import MetadataRepository
 
 #: Session names are path segments and repository namespace parts.
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
+
+#: A well-formed ``Content-Length`` value.
+_CONTENT_LENGTH = re.compile(r"[0-9]+")
+
+#: Largest request body the front door reads; larger ones answer 413.
+#: An xRQ document is a few kilobytes.
+MAX_BODY_BYTES = 1 << 20
+
+#: Listen backlog of the server socket.
+LISTEN_BACKLOG = 128
 
 
 class ServeError(Exception):
@@ -344,6 +366,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     manager: SessionManager  # injected by QuarryServer
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     # -- plumbing -----------------------------------------------------------
 
@@ -355,12 +378,45 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
+    def _read_body(self) -> bytes:
+        """Consume the declared request body, whatever the route.
+
+        A body that cannot be framed or is too large stays unread, so
+        the connection closes after the answer.
+        """
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+            raise ServeError(
+                411, "request bodies need a Content-Length; "
+                "Transfer-Encoding is not supported",
+            )
+        declared = self.headers.get("Content-Length")
+        if declared is None:
+            return b""
+        if not _CONTENT_LENGTH.fullmatch(declared.strip()):
+            self.close_connection = True
+            raise ServeError(
+                400,
+                f"Content-Length must be a non-negative integer, "
+                f"not {declared!r}",
+            )
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise ServeError(
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+            )
+        return self.rfile.read(length)
+
     def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+        raw = self._raw_body
         if not raw:
             return {}
         try:
@@ -453,6 +509,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle(self, method: str) -> None:
         try:
+            self._raw_body = self._read_body()
             status, payload = self._route(method)
         except ServeError as exc:
             self._reply(exc.status, {"error": str(exc)})
@@ -479,6 +536,10 @@ class _Handler(BaseHTTPRequestHandler):
         self._handle("DELETE")
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    request_queue_size = LISTEN_BACKLOG
+
+
 class QuarryServer:
     """A threaded HTTP server bound to one session manager.
 
@@ -493,8 +554,7 @@ class QuarryServer:
         port: int = 0,
     ) -> None:
         handler = type("BoundHandler", (_Handler,), {"manager": manager})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _HTTPServer((host, port), handler)
         self._thread: Optional[threading.Thread] = None
         self.manager = manager
 

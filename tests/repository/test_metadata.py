@@ -1,10 +1,17 @@
-"""Unit tests for the typed metadata repository."""
+"""Unit tests for the typed metadata repository.
+
+The repository stores the XML→JSON trees its callers encoded; these
+tests encode with the same ``xml_to_json(codec.dumps(...))`` the
+services use.
+"""
 
 import pytest
 
 from repro.errors import DocumentNotFoundError
 from repro.repository import MetadataRepository
 from repro.sources import tpch
+from repro.xformats import xlm, xmd, xrq
+from repro.xformats.xmljson import xml_to_json
 
 from tests.core.conftest import build_revenue_requirement
 from tests.etlmodel.conftest import build_revenue_flow
@@ -16,22 +23,34 @@ def repo():
     return MetadataRepository()
 
 
+def save_requirement(repo, requirement):
+    repo.save_requirement(requirement, xml_to_json(xrq.dumps(requirement)))
+
+
+def design_trees():
+    """The (xMD, xLM) trees of the revenue star and its flow."""
+    return (
+        xml_to_json(xmd.dumps(revenue_star())),
+        xml_to_json(xlm.dumps(build_revenue_flow())),
+    )
+
+
 class TestRequirements:
     def test_save_load(self, repo):
         requirement = build_revenue_requirement()
-        repo.save_requirement(requirement)
+        save_requirement(repo, requirement)
         loaded = repo.load_requirement("IR1")
         assert loaded.measures == requirement.measures
         assert loaded.dimensions == requirement.dimensions
 
     def test_save_is_upsert(self, repo):
-        repo.save_requirement(build_revenue_requirement())
-        repo.save_requirement(build_revenue_requirement())
+        save_requirement(repo, build_revenue_requirement())
+        save_requirement(repo, build_revenue_requirement())
         assert repo.requirement_ids() == ["IR1"]
 
     def test_delete_cascades_to_partial_designs(self, repo):
-        repo.save_requirement(build_revenue_requirement())
-        repo.save_partial_design("IR1", revenue_star(), build_revenue_flow())
+        save_requirement(repo, build_revenue_requirement())
+        repo.save_partial_design("IR1", *design_trees())
         repo.delete_requirement("IR1")
         assert repo.requirement_ids() == []
         assert repo.partial_design_ids() == []
@@ -43,16 +62,14 @@ class TestRequirements:
 
 class TestDesigns:
     def test_partial_design_roundtrip(self, repo):
-        repo.save_partial_design("IR1", revenue_star(), build_revenue_flow())
+        repo.save_partial_design("IR1", *design_trees())
         md, etl = repo.load_partial_design("IR1")
         assert set(md.facts) == {"fact_table_revenue"}
         assert set(etl.node_names()) == set(build_revenue_flow().node_names())
         assert repo.partial_design_ids() == ["IR1"]
 
     def test_unified_design_roundtrip(self, repo):
-        repo.save_unified_design(
-            "v1", revenue_star(), build_revenue_flow(), ["IR1", "IR2"]
-        )
+        repo.save_unified_design("v1", *design_trees(), ["IR1", "IR2"])
         md, etl, requirements = repo.load_unified_design("v1")
         assert requirements == ["IR1", "IR2"]
         assert md.has_dimension("Supplier")
@@ -77,11 +94,9 @@ class TestOntologiesAndDeployments:
 
 class TestPersistence:
     def test_full_repository_file_roundtrip(self, repo, tmp_path):
-        repo.save_requirement(build_revenue_requirement())
-        repo.save_partial_design("IR1", revenue_star(), build_revenue_flow())
-        repo.save_unified_design(
-            "v1", revenue_star(), build_revenue_flow(), ["IR1"]
-        )
+        save_requirement(repo, build_revenue_requirement())
+        repo.save_partial_design("IR1", *design_trees())
+        repo.save_unified_design("v1", *design_trees(), ["IR1"])
         repo.save_ontology(tpch.ontology())
         path = tmp_path / "metadata.json"
         repo.save_to(path)

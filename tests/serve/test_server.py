@@ -1,6 +1,8 @@
 """The HTTP front door: routing, lifecycle, isolation, concurrency."""
 
+import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -9,7 +11,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.serve.server import QuarryServer, tpch_manager
+from repro.serve.server import (
+    MAX_BODY_BYTES,
+    QuarryServer,
+    _Handler,
+    tpch_manager,
+)
 from repro.serve.smoke import demo_xrq
 
 
@@ -66,6 +73,160 @@ class TestRouting:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=60)
         assert excinfo.value.code == 400
+
+
+def raw_request(connection, method, path, headers=(), body=None):
+    """One request with exactly the given headers: (status, payload,
+    response headers).  Fails unless the answer is a JSON object."""
+    connection.putrequest(method, path)
+    for name, value in headers:
+        connection.putheader(name, value)
+    connection.endheaders(body)
+    response = connection.getresponse()
+    assert response.getheader("Content-Type") == "application/json"
+    payload = json.loads(response.read())
+    assert isinstance(payload, dict)
+    return response.status, payload, response
+
+
+def framed(data):
+    """(headers, body) for a request carrying ``data`` bytes."""
+    return [("Content-Length", str(len(data)))], data
+
+
+def json_request(connection, method, path, body=None):
+    headers, data = (
+        framed(json.dumps(body).encode()) if body is not None else ([], None)
+    )
+    return raw_request(connection, method, path, headers, data)[:2]
+
+
+@pytest.fixture
+def connection(server):
+    """A keep-alive client connection; a hung handler fails, not hangs."""
+    client = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    yield client
+    client.close()
+
+
+def assert_still_serves(connection):
+    status, payload = json_request(connection, "GET", "/healthz")
+    assert (status, payload["status"]) == (200, "ok")
+
+
+class TestBodyHandling:
+    """The declared body is consumed before routing; unframeable or
+    oversized bodies answer 4xx and close the connection."""
+
+    def test_404_reads_the_body_and_keeps_the_connection(self, connection):
+        status, payload = json_request(
+            connection, "POST", "/nope", {"name": "left-on-the-wire"}
+        )
+        assert status == 404 and "no such route" in payload["error"]
+        kept = connection.sock
+        assert_still_serves(connection)
+        assert connection.sock is kept  # same TCP connection, no reconnect
+
+    def test_non_integer_content_length_is_400(self, connection):
+        status, payload, response = raw_request(
+            connection, "POST", "/sessions", [("Content-Length", "abc")]
+        )
+        assert status == 400 and "Content-Length" in payload["error"]
+        assert response.getheader("Connection") == "close"
+        assert_still_serves(connection)
+
+    def test_negative_content_length_is_400(self, connection):
+        status, payload, response = raw_request(
+            connection, "POST", "/sessions", [("Content-Length", "-1")]
+        )
+        assert status == 400 and "Content-Length" in payload["error"]
+        assert response.getheader("Connection") == "close"
+        assert_still_serves(connection)
+
+    def test_body_above_the_cap_is_413(self, connection):
+        status, payload, response = raw_request(
+            connection,
+            "POST",
+            "/sessions",
+            [("Content-Length", str(MAX_BODY_BYTES + 1))],
+        )
+        assert status == 413 and "limit" in payload["error"]
+        assert response.getheader("Connection") == "close"
+        assert_still_serves(connection)
+
+    def test_chunked_body_is_411(self, connection):
+        status, payload, response = raw_request(
+            connection,
+            "POST",
+            "/sessions",
+            [("Transfer-Encoding", "chunked")],
+            b'e\r\n{"name": "ch"}\r\n0\r\n\r\n',
+        )
+        assert status == 411 and "Content-Length" in payload["error"]
+        assert response.getheader("Connection") == "close"
+        assert_still_serves(connection)
+        __, listed = json_request(connection, "GET", "/sessions")
+        assert "ch" not in listed["sessions"]
+
+
+class TestTransport:
+    def test_accepted_connections_disable_nagle(self, server, monkeypatch):
+        nodelay = []
+        setup = _Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            nodelay.append(
+                handler.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+            )
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        client = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            assert_still_serves(client)
+        finally:
+            client.close()
+        assert nodelay and all(nodelay)
+
+    def test_mixed_requests_on_one_connection(self, connection):
+        def body(payload):
+            return framed(json.dumps(payload).encode())
+
+        def declared(length):
+            return [("Content-Length", length)], None
+
+        none = ([], None)
+        base = "/sessions/mixed"
+        requests = [
+            ("POST", "/sessions", body({"name": "mixed"}), 201),
+            ("POST", "/sessions", body({"name": "mixed"}), 409),
+            ("GET", "/nope", none, 404),
+            ("POST", "/nope", body({"xrq": "<cube/>"}), 404),
+            ("POST", f"{base}/requirements", body({"xrq": demo_xrq("IR1")}), 201),
+            ("GET", f"{base}/status", none, 200),
+            ("POST", "/sessions", framed(b"not json"), 400),
+            ("GET", f"{base}/design", none, 200),
+            ("POST", "/sessions", declared("abc"), 400),
+            ("GET", f"{base}/requirements", none, 200),
+            ("POST", f"{base}/deploy", body({"platform": "sql"}), 200),
+            ("POST", f"{base}/deploy", body({"platform": "warp"}), 400),
+            ("POST", "/sessions", declared(str(MAX_BODY_BYTES + 1)), 413),
+            ("GET", "/sessions/ghost/status", none, 404),
+            ("DELETE", f"{base}/requirements/IR1", none, 200),
+            ("POST", "/sessions", body({"name": "no/slashes"}), 400),
+            ("GET", f"{base}/jobs", none, 200),
+            ("GET", f"{base}/jobs/job-9", none, 404),
+            ("POST", "/sessions", declared("-1"), 400),
+            ("GET", "/healthz", none, 200),
+        ]
+        assert len(requests) == 20
+        answered = [
+            raw_request(connection, method, path, *request)[0]
+            for method, path, request, __ in requests
+        ]
+        assert answered == [expected for *__, expected in requests]
 
 
 class TestLifecycle:
