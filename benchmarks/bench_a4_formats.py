@@ -2,8 +2,10 @@
 
 The layer's correctness contract: every artefact survives
 xRQ/xMD/xLM serialisation and the XML↔JSON↔XML repository boundary
-byte-identically.  Throughput is measured per format on the Figure-3/4
-documents.
+byte-identically, and each writer's tree (``to_tree``, what the
+services store) is what parsing its rendering gives.  Throughput is
+measured per format on the Figure-3/4 documents; the "A4 encode" group
+compares ``to_tree`` with rendering and re-parsing the same artefact.
 """
 
 import pytest
@@ -44,6 +46,20 @@ class TestRoundTripFidelity:
         }[format_name]()
         assert json_to_xml(xml_to_json(text)) == text
 
+    @pytest.mark.parametrize("format_name", ["xrq", "xmd", "xlm"])
+    def test_tree_is_parsed_rendering(self, design, format_name):
+        codec, value = _artefact(design, format_name)
+        assert codec.to_tree(value) == xml_to_json(codec.dumps(value))
+
+
+def _artefact(design, format_name):
+    """(codec, object) of one format on the Figure-3/4 design."""
+    return {
+        "xrq": (xrq, design.requirement),
+        "xmd": (xmd, design.md_schema),
+        "xlm": (xlm, design.etl_flow),
+    }[format_name]
+
 
 class TestThroughput:
     @pytest.mark.parametrize("format_name", ["xrq", "xmd", "xlm"])
@@ -70,6 +86,18 @@ class TestThroughput:
         benchmark.group = "A4 parse"
         benchmark.name = format_name
         assert benchmark(lambda: parser(text))
+
+    @pytest.mark.parametrize("format_name", ["xrq", "xmd", "xlm"])
+    @pytest.mark.parametrize("encoder", ["to_tree", "xml_to_json(dumps)"])
+    def test_encode(self, benchmark, design, format_name, encoder):
+        codec, value = _artefact(design, format_name)
+        action = {
+            "to_tree": lambda: codec.to_tree(value),
+            "xml_to_json(dumps)": lambda: xml_to_json(codec.dumps(value)),
+        }[encoder]
+        benchmark.group = "A4 encode"
+        benchmark.name = f"{format_name} {encoder}"
+        assert benchmark(action)
 
     def test_xml_json_boundary(self, benchmark, design):
         text = xlm.dumps(design.etl_flow)

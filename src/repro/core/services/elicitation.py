@@ -19,7 +19,6 @@ from repro.etlmodel.flow import EtlFlow
 from repro.mdmodel.model import MDSchema
 from repro.ontology.model import Ontology
 from repro.xformats import xlm, xmd, xrq
-from repro.xformats.xmljson import xml_to_json
 
 TOPIC_REQUIREMENTS = "requirements"
 
@@ -55,7 +54,7 @@ class ElicitationService:
             KIND_ADDED,
             payload={
                 "requirement": requirement.id,
-                "xrq": xml_to_json(xrq.dumps(requirement)),
+                "xrq": xrq.to_tree(requirement),
             },
             producer=self.name,
             attachment=requirement,
@@ -86,9 +85,9 @@ class ElicitationService:
             KIND_EXTERNAL,
             payload={
                 "requirement": requirement.id,
-                "xrq": xml_to_json(xrq.dumps(requirement)),
-                "xmd": xml_to_json(xmd.dumps(md_schema)),
-                "xlm": xml_to_json(xlm.dumps(etl_flow)),
+                "xrq": xrq.to_tree(requirement),
+                "xmd": xmd.to_tree(md_schema),
+                "xlm": xlm.to_tree(etl_flow),
             },
             producer=self.name,
             attachment=(requirement, md_schema, etl_flow),

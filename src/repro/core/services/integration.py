@@ -43,7 +43,6 @@ from repro.mdmodel.complexity import ComplexityWeights, DEFAULT_WEIGHTS
 from repro.mdmodel.model import MDSchema
 from repro.repository.metadata import decode_design
 from repro.xformats import xlm, xmd
-from repro.xformats.xmljson import xml_to_json
 
 TOPIC_UNIFIED = "unified"
 
@@ -61,12 +60,7 @@ class _Snapshot(NamedTuple):
 
 def _snapshot(md_schema: MDSchema, etl_flow: EtlFlow) -> _Snapshot:
     """A unified design state, encoded once."""
-    return _Snapshot(
-        md_schema,
-        etl_flow,
-        xml_to_json(xmd.dumps(md_schema)),
-        xml_to_json(xlm.dumps(etl_flow)),
-    )
+    return _Snapshot(md_schema, etl_flow, xmd.to_tree(md_schema), xlm.to_tree(etl_flow))
 
 
 def retarget_loaders(flow: EtlFlow, md_result: MDIntegration) -> EtlFlow:

@@ -28,7 +28,7 @@ from repro.repository.metadata import decode_design
 from repro.sources.mappings import SourceMappings
 from repro.sources.schema import SourceSchema
 from repro.xformats import xlm, xmd, xrq
-from repro.xformats.xmljson import json_to_xml, xml_to_json
+from repro.xformats.xmljson import json_to_xml
 
 from repro.core.services import elicitation as _elicitation
 
@@ -119,8 +119,8 @@ class InterpretationService:
         encoded it, the design's encoded here, once."""
         partial.trees = {
             "xrq": xrq_tree,
-            "xmd": xml_to_json(xmd.dumps(partial.md_schema)),
-            "xlm": xml_to_json(xlm.dumps(partial.etl_flow)),
+            "xmd": xmd.to_tree(partial.md_schema),
+            "xlm": xlm.to_tree(partial.etl_flow),
         }
         return partial
 

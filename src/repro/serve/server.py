@@ -25,7 +25,12 @@ or 500.  The declared body is read before routing, so every answer — a
 404 included — leaves a keep-alive connection at the next request.  A
 ``Content-Length`` that is not a non-negative integer (400) or that
 exceeds the cap (413), and a chunked body (411), leave no way to find
-the next request, so those answers close the connection.
+the next request, so those answers close the connection.  The
+stdlib's own errors answer the same JSON and close the connection: 400
+for a request line it cannot parse, 414 for an overlong URI, 501 for
+an unsupported method (``PUT``, ``HEAD``, ...) and 505 for an
+unsupported HTTP version.  ``Expect: 100-continue`` on a body the
+front door would refuse gets the refusal, not ``100 Continue``.
 
 Transport: accepted connections run with Nagle's algorithm off, so a
 reply's header and body writes leave at once instead of waiting for
@@ -381,10 +386,41 @@ class _Handler(BaseHTTPRequestHandler):
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":
+            self.wfile.write(body)
+
+    def send_error(self, code, message=None, explain=None):
+        """Answer the stdlib's own errors (an unparsable request line, an
+        unsupported method, a URI too long, ...) in JSON like any route.
+
+        A request line too broken to name its version leaves the stdlib
+        at HTTP/0.9, which sends neither status line nor headers; those
+        answers are HTTP/1.1 too.  The connection closes: the request's
+        body, if any, is unread.
+        """
+        if self.request_version == "HTTP/0.9":
+            self.request_version = self.protocol_version
+        self.close_connection = True
+        if message is None:
+            message = self.responses.get(code, ("error",))[0]
+        self._reply(code, {"error": message})
+
+    def handle_expect_100(self) -> bool:
+        """Refuse a body :meth:`_read_body` would refuse before inviting
+        the client to send it."""
+        try:
+            self._body_length()
+        except ServeError as exc:
+            self._reply(exc.status, {"error": str(exc)})
+            return False
+        return super().handle_expect_100()
 
     def _read_body(self) -> bytes:
-        """Consume the declared request body, whatever the route.
+        """Consume the declared request body, whatever the route."""
+        return self.rfile.read(self._body_length())
+
+    def _body_length(self) -> int:
+        """The declared body's length.
 
         A body that cannot be framed or is too large stays unread, so
         the connection closes after the answer.
@@ -397,7 +433,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
         declared = self.headers.get("Content-Length")
         if declared is None:
-            return b""
+            return 0
         if not _CONTENT_LENGTH.fullmatch(declared.strip()):
             self.close_connection = True
             raise ServeError(
@@ -413,7 +449,7 @@ class _Handler(BaseHTTPRequestHandler):
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit",
             )
-        return self.rfile.read(length)
+        return length
 
     def _body(self) -> dict:
         raw = self._raw_body

@@ -10,7 +10,9 @@ process design using the xLM format" (§2.5).
 * :mod:`repro.xformats.xmd` — MD schemas,
 * :mod:`repro.xformats.xlm` — ETL flows,
 * :mod:`repro.xformats.xmljson` — the generic XML↔JSON converter used
-  at the MongoDB-style repository boundary,
+  at the MongoDB-style repository boundary; each codec's ``to_tree``
+  builds that JSON tree straight from the model with its helpers,
+  and ``dumps`` renders the tree,
 * :mod:`repro.xformats.registry` — plug-in import/export parsers for
   external notations (SQL DDL, PDI, ...).
 """

@@ -32,7 +32,7 @@ from repro.etlmodel.ops import (
     SurrogateKey,
     UnionOp,
 )
-from repro.xformats import xmlutil
+from repro.xformats import xmljson, xmlutil
 from repro.xformats.registry import check_schema_version
 
 _LIST_SEPARATOR = ","
@@ -43,34 +43,39 @@ _LIST_SEPARATOR = ","
 XLM_VERSION = "1.1"
 
 
-def dumps(flow: EtlFlow) -> str:
-    """Serialise an ETL flow to xLM."""
+def to_tree(flow: EtlFlow) -> dict:
+    """The flow's xLM tree, in the repository's JSON structure."""
     uses_scd = any(node.kind == "SCDUpdate" for node in flow.nodes())
-    root = ET.Element("design", {"version": XLM_VERSION} if uses_scd else {})
-    metadata = xmlutil.sub(root, "metadata")
-    xmlutil.sub(metadata, "name", flow.name)
+    root = xmljson.root("design", **({"version": XLM_VERSION} if uses_scd else {}))
+    metadata = xmljson.sub(root, "metadata")
+    xmljson.sub(metadata, "name", flow.name)
     if flow.requirements:
-        wrapper = xmlutil.sub(metadata, "requirements")
+        wrapper = xmljson.sub(metadata, "requirements")
         for requirement_id in sorted(flow.requirements):
-            xmlutil.sub(wrapper, "requirement", requirement_id)
-    edges = xmlutil.sub(root, "edges")
+            xmljson.sub(wrapper, "requirement", requirement_id)
+    edges = xmljson.sub(root, "edges")
     for edge in flow.edges():
-        element = xmlutil.sub(edges, "edge")
-        xmlutil.sub(element, "from", edge.source)
-        xmlutil.sub(element, "to", edge.target)
-        xmlutil.sub(element, "enabled", "Y" if edge.enabled else "N")
-    nodes = xmlutil.sub(root, "nodes")
+        element = xmljson.sub(edges, "edge")
+        xmljson.sub(element, "from", edge.source)
+        xmljson.sub(element, "to", edge.target)
+        xmljson.sub(element, "enabled", "Y" if edge.enabled else "N")
+    nodes = xmljson.sub(root, "nodes")
     for operation in flow.nodes():
-        element = xmlutil.sub(nodes, "node")
-        xmlutil.sub(element, "name", operation.name)
-        xmlutil.sub(element, "type", operation.kind)
-        xmlutil.sub(element, "optype", operation.optype)
+        element = xmljson.sub(nodes, "node")
+        xmljson.sub(element, "name", operation.name)
+        xmljson.sub(element, "type", operation.kind)
+        xmljson.sub(element, "optype", operation.optype)
         properties = _operation_properties(operation)
         if properties:
-            wrapper = xmlutil.sub(element, "properties")
+            wrapper = xmljson.sub(element, "properties")
             for key, value in properties.items():
-                xmlutil.sub(wrapper, "property", value, name=key)
-    return xmlutil.render(root)
+                xmljson.sub(wrapper, "property", value, name=key)
+    return root
+
+
+def dumps(flow: EtlFlow) -> str:
+    """Serialise an ETL flow to xLM."""
+    return xmljson.json_to_xml(to_tree(flow))
 
 
 def _operation_properties(operation: Operation) -> Dict[str, str]:

@@ -25,7 +25,7 @@ from repro.mdmodel.model import (
     Measure,
     SCDPolicy,
 )
-from repro.xformats import xmlutil
+from repro.xformats import xmljson, xmlutil
 from repro.xformats.registry import check_schema_version
 
 #: The newest xMD schema version this build writes.  Version 1.1 added
@@ -35,8 +35,8 @@ from repro.xformats.registry import check_schema_version
 XMD_VERSION = "1.1"
 
 
-def dumps(schema: MDSchema) -> str:
-    """Serialise an MD schema to xMD."""
+def to_tree(schema: MDSchema) -> dict:
+    """The schema's xMD tree, in the repository's JSON structure."""
     uses_scd = any(
         level.scd_policy is not SCDPolicy.TYPE0
         for _, level in schema.iter_levels()
@@ -44,84 +44,87 @@ def dumps(schema: MDSchema) -> str:
     attributes = {"name": schema.name}
     if uses_scd:
         attributes["version"] = XMD_VERSION
-    root = ET.Element("MDschema", attributes)
-    facts = xmlutil.sub(root, "facts")
+    root = xmljson.root("MDschema", **attributes)
+    facts = xmljson.sub(root, "facts")
     for fact in schema.facts.values():
-        facts.append(_write_fact(fact))
-    dimensions = xmlutil.sub(root, "dimensions")
+        _write_fact(facts, fact)
+    dimensions = xmljson.sub(root, "dimensions")
     for dimension in schema.dimensions.values():
-        dimensions.append(_write_dimension(dimension))
-    return xmlutil.render(root)
+        _write_dimension(dimensions, dimension)
+    return root
 
 
-def _write_requirements(parent: ET.Element, requirement_ids) -> None:
+def dumps(schema: MDSchema) -> str:
+    """Serialise an MD schema to xMD."""
+    return xmljson.json_to_xml(to_tree(schema))
+
+
+def _write_requirements(parent: dict, requirement_ids) -> None:
     if not requirement_ids:
         return
-    wrapper = xmlutil.sub(parent, "requirements")
+    wrapper = xmljson.sub(parent, "requirements")
     for requirement_id in sorted(requirement_ids):
-        xmlutil.sub(wrapper, "requirement", requirement_id)
+        xmljson.sub(wrapper, "requirement", requirement_id)
 
 
-def _write_fact(fact: Fact) -> ET.Element:
-    element = ET.Element("fact")
-    xmlutil.sub(element, "name", fact.name)
+def _write_fact(parent: dict, fact: Fact) -> None:
+    element = xmljson.sub(parent, "fact")
+    xmljson.sub(element, "name", fact.name)
     if fact.concept is not None:
-        xmlutil.sub(element, "concept", fact.concept)
+        xmljson.sub(element, "concept", fact.concept)
     if fact.grain:
-        grain = xmlutil.sub(element, "grain")
+        grain = xmljson.sub(element, "grain")
         for column in fact.grain:
-            xmlutil.sub(grain, "column", column)
+            xmljson.sub(grain, "column", column)
     if fact.slicers:
-        slicers = xmlutil.sub(element, "slicers")
+        slicers = xmljson.sub(element, "slicers")
         for predicate in fact.slicers:
-            xmlutil.sub(slicers, "predicate", predicate)
+            xmljson.sub(slicers, "predicate", predicate)
     _write_requirements(element, fact.requirements)
-    measures = xmlutil.sub(element, "measures")
+    measures = xmljson.sub(element, "measures")
     for measure in fact.measures.values():
-        measure_element = xmlutil.sub(measures, "measure")
-        xmlutil.sub(measure_element, "name", measure.name)
-        xmlutil.sub(measure_element, "expression", measure.expression)
-        xmlutil.sub(measure_element, "type", measure.type.value)
-        xmlutil.sub(measure_element, "aggregation", measure.aggregation.value)
-        xmlutil.sub(measure_element, "additivity", measure.additivity.value)
+        measure_element = xmljson.sub(measures, "measure")
+        xmljson.sub(measure_element, "name", measure.name)
+        xmljson.sub(measure_element, "expression", measure.expression)
+        xmljson.sub(measure_element, "type", measure.type.value)
+        xmljson.sub(measure_element, "aggregation", measure.aggregation.value)
+        xmljson.sub(measure_element, "additivity", measure.additivity.value)
         _write_requirements(measure_element, measure.requirements)
-    links = xmlutil.sub(element, "links")
+    links = xmljson.sub(element, "links")
     for link in fact.links:
-        link_element = xmlutil.sub(links, "link")
-        xmlutil.sub(link_element, "dimension", link.dimension)
-        xmlutil.sub(link_element, "level", link.level)
-    return element
+        link_element = xmljson.sub(links, "link")
+        xmljson.sub(link_element, "dimension", link.dimension)
+        xmljson.sub(link_element, "level", link.level)
 
 
-def _write_dimension(dimension: Dimension) -> ET.Element:
-    element = ET.Element("dimension")
-    xmlutil.sub(element, "name", dimension.name)
+def _write_dimension(parent: dict, dimension: Dimension) -> None:
+    element = xmljson.sub(parent, "dimension")
+    xmljson.sub(element, "name", dimension.name)
     _write_requirements(element, dimension.requirements)
-    levels = xmlutil.sub(element, "levels")
+    levels = xmljson.sub(element, "levels")
     for level in dimension.levels.values():
-        level_element = xmlutil.sub(levels, "level")
-        xmlutil.sub(level_element, "name", level.name)
+        level_element = xmljson.sub(levels, "level")
+        xmljson.sub(level_element, "name", level.name)
         if level.concept is not None:
-            xmlutil.sub(level_element, "concept", level.concept)
+            xmljson.sub(level_element, "concept", level.concept)
         if level.key is not None:
-            xmlutil.sub(level_element, "key", level.key)
+            xmljson.sub(level_element, "key", level.key)
         if level.scd_policy is not SCDPolicy.TYPE0:
-            xmlutil.sub(level_element, "scd", level.scd_policy.value)
-        attributes = xmlutil.sub(level_element, "attributes")
+            xmljson.sub(level_element, "scd", level.scd_policy.value)
+        attributes = xmljson.sub(level_element, "attributes")
         for attribute in level.attributes:
-            attribute_element = xmlutil.sub(attributes, "attribute")
-            xmlutil.sub(attribute_element, "name", attribute.name)
-            xmlutil.sub(attribute_element, "type", attribute.type.value)
+            attribute_element = xmljson.sub(attributes, "attribute")
+            xmljson.sub(attribute_element, "name", attribute.name)
+            xmljson.sub(attribute_element, "type", attribute.type.value)
             if attribute.property is not None:
-                xmlutil.sub(attribute_element, "property", attribute.property)
-    hierarchies = xmlutil.sub(element, "hierarchies")
+                xmljson.sub(attribute_element, "property", attribute.property)
+    hierarchies = xmljson.sub(element, "hierarchies")
     for hierarchy in dimension.hierarchies:
-        hierarchy_element = xmlutil.sub(
+        hierarchy_element = xmljson.sub(
             hierarchies, "hierarchy", name=hierarchy.name
         )
         for level_name in hierarchy.levels:
-            xmlutil.sub(hierarchy_element, "level", level_name)
-    return element
+            xmljson.sub(hierarchy_element, "level", level_name)
 
 
 def loads(text: str) -> MDSchema:

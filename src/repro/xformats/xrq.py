@@ -20,44 +20,48 @@ from repro.core.requirements.model import (
 )
 from repro.errors import XrqFormatError
 from repro.mdmodel.model import AggregationFunction
-from repro.xformats import xmlutil
+from repro.xformats import xmljson, xmlutil
+
+
+def to_tree(requirement: InformationRequirement) -> dict:
+    """The requirement's xRQ tree, in the repository's JSON structure."""
+    root = xmljson.root("cube", id=requirement.id)
+    if requirement.description:
+        xmljson.sub(root, "description", requirement.description)
+    dimensions = xmljson.sub(root, "dimensions")
+    for dimension in requirement.dimensions:
+        xmljson.sub(dimensions, "concept", id=dimension.property)
+    measures = xmljson.sub(root, "measures")
+    for measure in requirement.measures:
+        concept = xmljson.sub(measures, "concept", id=measure.name)
+        xmljson.sub(concept, "function", measure.expression)
+    slicers = xmljson.sub(root, "slicers")
+    for slicer in requirement.slicers:
+        _write_slicer(slicers, slicer)
+    aggregations = xmljson.sub(root, "aggregations")
+    for aggregation in requirement.aggregations:
+        element = xmljson.sub(aggregations, "aggregation", order=aggregation.order)
+        xmljson.sub(element, "dimension", refID=aggregation.dimension)
+        xmljson.sub(element, "measure", refID=aggregation.measure)
+        xmljson.sub(element, "function", aggregation.function.value)
+    return root
 
 
 def dumps(requirement: InformationRequirement) -> str:
     """Serialise a requirement to xRQ."""
-    root = ET.Element("cube", {"id": requirement.id})
-    if requirement.description:
-        xmlutil.sub(root, "description", requirement.description)
-    dimensions = xmlutil.sub(root, "dimensions")
-    for dimension in requirement.dimensions:
-        xmlutil.sub(dimensions, "concept", id=dimension.property)
-    measures = xmlutil.sub(root, "measures")
-    for measure in requirement.measures:
-        concept = xmlutil.sub(measures, "concept", id=measure.name)
-        xmlutil.sub(concept, "function", measure.expression)
-    slicers = xmlutil.sub(root, "slicers")
-    for slicer in requirement.slicers:
-        _write_slicer(slicers, slicer)
-    aggregations = xmlutil.sub(root, "aggregations")
-    for aggregation in requirement.aggregations:
-        element = xmlutil.sub(aggregations, "aggregation", order=aggregation.order)
-        xmlutil.sub(element, "dimension", refID=aggregation.dimension)
-        xmlutil.sub(element, "measure", refID=aggregation.measure)
-        xmlutil.sub(element, "function", aggregation.function.value)
-    return xmlutil.render(root)
+    return xmljson.json_to_xml(to_tree(requirement))
 
 
-def _write_slicer(parent: ET.Element, slicer: RequirementSlicer) -> None:
+def _write_slicer(parent: dict, slicer: RequirementSlicer) -> None:
     triple = slicer.as_comparison()
     if triple is None:
-        xmlutil.sub(parent, "predicate", slicer.predicate)
+        xmljson.sub(parent, "predicate", slicer.predicate)
         return
     property_id, operator, value = triple
-    comparison = xmlutil.sub(parent, "comparison")
-    xmlutil.sub(comparison, "concept", id=property_id)
-    xmlutil.sub(comparison, "operator", operator)
-    value_element = xmlutil.sub(comparison, "value", _render_value(value))
-    value_element.set("type", _value_type(value))
+    comparison = xmljson.sub(parent, "comparison")
+    xmljson.sub(comparison, "concept", id=property_id)
+    xmljson.sub(comparison, "operator", operator)
+    xmljson.sub(comparison, "value", _render_value(value), type=_value_type(value))
 
 
 def _render_value(value) -> str:

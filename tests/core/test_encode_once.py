@@ -134,16 +134,16 @@ def assert_stored_trees_match(quarry, shared=True):
 
 @pytest.fixture
 def encodes(monkeypatch):
-    """Counts ``dumps`` calls per codec (the first half of an encode)."""
+    """Counts ``to_tree`` calls (encodes) per codec."""
     counts = Counter()
     for codec in (xrq, xmd, xlm):
         name = codec.__name__.rsplit(".", 1)[-1]
 
-        def counting(obj, _dumps=codec.dumps, _name=name):
+        def counting(obj, _to_tree=codec.to_tree, _name=name):
             counts[_name] += 1
-            return _dumps(obj)
+            return _to_tree(obj)
 
-        monkeypatch.setattr(codec, "dumps", counting)
+        monkeypatch.setattr(codec, "to_tree", counting)
     return counts
 
 

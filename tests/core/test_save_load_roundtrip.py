@@ -93,6 +93,18 @@ class TestRoundTrip:
         assert [r.id for r in resumed.requirements()] == ["IR1"]
         assert resumed.repository.namespace == "s1"
 
+    def test_whitespace_only_description_survives_reload(self, tmp_path):
+        # Whitespace-only text is content on a leaf: the stored xRQ
+        # tree keeps it, so the resumed requirement reads it back.
+        quarry = Quarry(tpch.ontology(), tpch.schema(), tpch.mappings())
+        requirement = build_revenue_requirement()
+        requirement.description = " "
+        quarry.add_requirement(requirement)
+        path = tmp_path / "store.json"
+        quarry.save_to(path)
+        resumed = reload(path)
+        assert [r.description for r in resumed.requirements()] == [" "]
+
 
 class TestLegacyStores:
     def test_store_without_session_state_falls_back(self, tmp_path):

@@ -2,11 +2,17 @@
 
 * random ontologies survive the text serialisation,
 * random requirements (over the TPC-H vocabulary) survive xRQ,
+* each xRQ/xMD/xLM writer's tree is what parsing its rendering gives,
+  and the committed documents re-save byte-identically,
 * dimension merge is idempotent and absorbs subsets,
 * the ETL cost model behaves monotonically.
 """
 
+import json
+from pathlib import Path
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import assume, given, settings
 
 from repro.expressions import ScalarType
@@ -156,6 +162,236 @@ class TestXrqRoundTrip:
         assert bool(requirement.validate(ontology)) == bool(
             parsed.validate(ontology)
         )
+
+
+# ---------------------------------------------------------------------------
+# Writer trees: to_tree(x) == xml_to_json(dumps(x))
+# ---------------------------------------------------------------------------
+
+#: Text and attribute values: empty, whitespace, CR/CRLF line ends,
+#: markup characters and one non-BMP character.
+_PIECES = ["", " ", "\t", "\r", "\r\n", "<", "&", ">", '"', "'", "x", "\U0001F600"]
+xml_texts = st.lists(st.sampled_from(_PIECES), max_size=5).map("".join)
+optional_texts = st.one_of(st.none(), xml_texts)
+text_sets = st.sets(xml_texts, max_size=3)
+
+
+def _unique(min_size=0):
+    return st.lists(xml_texts, min_size=min_size, max_size=3, unique=True)
+
+
+@st.composite
+def any_requirement(draw):
+    from repro.core.requirements.model import (
+        InformationRequirement,
+        RequirementAggregation,
+        RequirementDimension,
+        RequirementMeasure,
+        RequirementSlicer,
+    )
+    from repro.mdmodel.model import AggregationFunction
+
+    def slicer(value):
+        escaped = value.replace("'", "''")
+        if draw(st.booleans()):  # a comparison triple with a typed <value>
+            return RequirementSlicer(f"Nation_n_name = '{escaped}'")
+        return RequirementSlicer(f"Nation_n_name = '{escaped}' AND Part_p_size > 3")
+
+    return InformationRequirement(
+        id=draw(xml_texts),
+        description=draw(xml_texts),
+        dimensions=[RequirementDimension(text) for text in draw(_unique())],
+        measures=[
+            RequirementMeasure(name, draw(xml_texts)) for name in draw(_unique())
+        ],
+        slicers=[slicer(value) for value in draw(st.lists(xml_texts, max_size=2))],
+        aggregations=[
+            RequirementAggregation(
+                order,
+                draw(xml_texts),
+                draw(xml_texts),
+                draw(st.sampled_from(list(AggregationFunction))),
+            )
+            for order in range(draw(st.integers(0, 2)))
+        ],
+    )
+
+
+@st.composite
+def any_md_schema(draw):
+    from repro.mdmodel.model import (
+        Additivity,
+        AggregationFunction,
+        Dimension,
+        Fact,
+        FactDimensionLink,
+        Hierarchy,
+        Level,
+        LevelAttribute,
+        MDSchema,
+        Measure,
+        SCDPolicy,
+    )
+
+    def level(name):
+        attributes = [
+            LevelAttribute(attribute, draw(scalar_types), draw(optional_texts))
+            for attribute in draw(_unique())
+        ]
+        return Level(
+            name,
+            attributes,
+            concept=draw(optional_texts),
+            scd_policy=draw(st.sampled_from(list(SCDPolicy))),
+        )
+
+    def dimension(name):
+        levels = {level_name: level(level_name) for level_name in draw(_unique(min_size=1))}
+        return Dimension(
+            name,
+            levels,
+            [Hierarchy(draw(xml_texts), list(levels))],
+            draw(text_sets),
+        )
+
+    def fact(name):
+        measures = {
+            measure: Measure(
+                measure,
+                draw(xml_texts),
+                draw(scalar_types),
+                draw(st.sampled_from(list(AggregationFunction))),
+                draw(st.sampled_from(list(Additivity))),
+                draw(text_sets),
+            )
+            for measure in draw(_unique())
+        }
+        return Fact(
+            name,
+            measures,
+            [FactDimensionLink(draw(xml_texts), draw(xml_texts))],
+            draw(optional_texts),
+            draw(text_sets),
+            draw(st.lists(xml_texts, max_size=2)),
+            draw(st.lists(xml_texts, max_size=2)),
+        )
+
+    return MDSchema(
+        draw(xml_texts),
+        {name: fact(name) for name in draw(_unique())},
+        {name: dimension(name) for name in draw(_unique())},
+    )
+
+
+@st.composite
+def any_etl_flow(draw):
+    from repro.etlmodel import EtlFlow
+    from repro.etlmodel.ops import (
+        Datastore,
+        DerivedAttribute,
+        Loader,
+        Rename,
+        SCDUpdate,
+        Selection,
+        Sort,
+    )
+
+    def operation(name):
+        builders = [
+            lambda: Datastore(name, table=draw(xml_texts), columns=tuple(draw(_unique()))),
+            lambda: Selection(name, predicate=draw(xml_texts)),
+            lambda: DerivedAttribute(
+                name, output=draw(xml_texts), expression=draw(xml_texts)
+            ),
+            lambda: Rename(name, renaming=((draw(xml_texts), draw(xml_texts)),)),
+            lambda: Sort(
+                name, keys=tuple(draw(_unique())), descending=draw(st.booleans())
+            ),
+            lambda: SCDUpdate(
+                name, table=draw(xml_texts), effective_date=draw(xml_texts)
+            ),
+            lambda: Loader(name, table=draw(xml_texts), mode=draw(xml_texts)),
+        ]
+        return draw(st.sampled_from(builders))()
+
+    flow = EtlFlow(draw(xml_texts), requirements=draw(text_sets))
+    names = draw(_unique())
+    for name in names:
+        flow.add(operation(name))
+    for source, target in zip(names, names[1:]):
+        flow.connect(source, target)
+    return flow
+
+
+class TestWriterTrees:
+    """A writer's tree equals what parsing its rendering gives, and a
+    character XML 1.0 forbids is refused."""
+
+    @staticmethod
+    def _check(codec, value):
+        from repro.errors import FormatError
+        from repro.xformats.xmljson import xml_to_json
+
+        assert codec.to_tree(value) == xml_to_json(codec.dumps(value))
+        with pytest.raises(FormatError, match="U\\+0001"):
+            codec.to_tree(_with_control_character(value))
+
+    @given(any_requirement())
+    @settings(max_examples=80, deadline=None)
+    def test_xrq(self, requirement):
+        from repro.xformats import xrq
+
+        self._check(xrq, requirement)
+
+    @given(any_md_schema())
+    @settings(max_examples=80, deadline=None)
+    def test_xmd(self, schema):
+        from repro.xformats import xmd
+
+        self._check(xmd, schema)
+
+    @given(any_etl_flow())
+    @settings(max_examples=80, deadline=None)
+    def test_xlm(self, flow):
+        from repro.xformats import xlm
+
+        self._check(xlm, flow)
+
+
+def _with_control_character(value):
+    """A copy of ``value`` whose name (or id) holds U+0001."""
+    import copy
+
+    value = copy.deepcopy(value)
+    if hasattr(value, "id"):
+        value.id += "\x01"
+    else:
+        value.name += "\x01"
+    return value
+
+
+_COMMITTED = ["examples/design/unified.xmd", "examples/design/unified.xlm"] + [
+    f"tests/xformats/fixtures/legacy_design.{suffix}" for suffix in ("xmd", "xlm")
+]
+_ROOT = Path(__file__).resolve().parents[2]
+
+
+def _committed_documents():
+    for path in _COMMITTED:
+        text = (_ROOT / path).read_text(encoding="utf-8")
+        yield pytest.param(path[-3:], text, id=path)
+    for path in sorted((_ROOT / "tests/fuzz/corpus").glob("*.json")):
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        if "xlm" in entry:
+            yield pytest.param("xlm", entry["xlm"], id=f"corpus/{path.name}")
+
+
+@pytest.mark.parametrize("notation, text", _committed_documents())
+def test_committed_documents_resave_byte_identically(notation, text):
+    from repro.xformats import xlm, xmd
+
+    codec = {"xmd": xmd, "xlm": xlm}[notation]
+    assert codec.dumps(codec.loads(text)) == text
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,97 @@ class TestBodyHandling:
         assert "ch" not in listed["sessions"]
 
 
+def raw_exchange(server, data):
+    """Send raw bytes and read until the server closes: (status lines,
+    headers of the last answer, its body)."""
+    with socket.create_connection((server.host, server.port), timeout=10) as sock:
+        sock.sendall(data)
+        received = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            received += chunk
+    statuses = []
+    while True:
+        head, __, received = received.partition(b"\r\n\r\n")
+        status, *lines = head.decode("latin-1").split("\r\n")
+        statuses.append(status)
+        if not status.startswith("HTTP/1.1 100 "):
+            break
+    headers = dict(line.split(": ", 1) for line in lines)
+    return statuses, headers, received
+
+
+def assert_json_error(server, data, status):
+    """The answer to ``data`` is one JSON error with ``status`` and the
+    connection closes; returns the error message."""
+    statuses, headers, body = raw_exchange(server, data)
+    assert [line.split(" ")[1] for line in statuses] == [str(status)]
+    assert headers["Content-Type"] == "application/json"
+    assert headers["Connection"] == "close"
+    assert int(headers["Content-Length"]) == len(body)
+    return json.loads(body)["error"]
+
+
+class TestStdlibErrors:
+    """Errors the stdlib raises before any route runs answer JSON too."""
+
+    @pytest.mark.parametrize("method", ["PUT", "PATCH", "OPTIONS"])
+    def test_unsupported_method_is_501(self, server, method):
+        data = f"{method} /healthz HTTP/1.1\r\nHost: x\r\n\r\n".encode()
+        assert method in assert_json_error(server, data, 501)
+
+    def test_head_is_501_without_a_body(self, server):
+        statuses, headers, body = raw_exchange(
+            server, b"HEAD /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        )
+        assert statuses == ["HTTP/1.1 501 Not Implemented"]
+        assert headers["Content-Type"] == "application/json"
+        assert body == b""
+
+    def test_garbage_request_line_is_400(self, server):
+        assert "garbage" in assert_json_error(server, b"garbage\r\n\r\n", 400)
+
+    def test_unsupported_http_version_is_505(self, server):
+        error = assert_json_error(server, b"GET /healthz HTTP/9.9\r\n\r\n", 505)
+        assert "9.9" in error
+
+    def test_overlong_uri_is_414(self, server):
+        data = b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\nHost: x\r\n\r\n"
+        assert assert_json_error(server, data, 414)
+
+
+class TestExpectContinue:
+    """A body the front door would refuse is refused before the client
+    is invited to send it."""
+
+    @pytest.mark.parametrize(
+        "framing, status",
+        [
+            (f"Content-Length: {MAX_BODY_BYTES + 1}", 413),
+            ("Content-Length: abc", 400),
+            ("Transfer-Encoding: chunked", 411),
+        ],
+    )
+    def test_refused_body_gets_no_100_continue(self, server, framing, status):
+        data = (
+            "POST /sessions HTTP/1.1\r\nHost: x\r\n"
+            f"Expect: 100-continue\r\n{framing}\r\n\r\n"
+        ).encode()
+        assert assert_json_error(server, data, status)
+
+    def test_acceptable_body_gets_100_continue(self, server):
+        body = json.dumps({"name": "expects"}).encode()
+        data = (
+            "POST /sessions HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+            f"Expect: 100-continue\r\nContent-Length: {len(body)}\r\n\r\n"
+        ).encode() + body
+        statuses, __, answer = raw_exchange(server, data)
+        assert statuses == ["HTTP/1.1 100 Continue", "HTTP/1.1 201 Created"]
+        assert json.loads(answer) == {"session": "expects"}
+
+
 class TestTransport:
     def test_accepted_connections_disable_nagle(self, server, monkeypatch):
         nodelay = []

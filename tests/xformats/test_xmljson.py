@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import FormatError
-from repro.xformats import FormatRegistry, json_to_xml, xml_to_json
+from repro.xformats import FormatRegistry, json_to_xml, xml_to_json, xmljson
 from repro.xformats.xmljson import json_text_to_xml, xml_to_json_text
 
 
@@ -46,6 +46,34 @@ class TestXmlJson:
     def test_whitespace_only_text_is_dropped(self):
         document = xml_to_json("<a>\n  <b/>\n</a>")
         assert document["text"] is None
+
+    def test_whitespace_only_leaf_text_is_kept(self):
+        assert xml_to_json("<a> </a>")["text"] == " "
+
+    @pytest.mark.parametrize(
+        "text, read",
+        [
+            (None, None),
+            ("", None),
+            (" ", " "),
+            ("a\r\nb\rc", "a\nb\nc"),
+            ("<&>\U0001F600", "<&>\U0001F600"),
+        ],
+    )
+    def test_leaf_text_is_what_the_parser_reads(self, text, read):
+        tree = xmljson.root("r")
+        xmljson.sub(tree, "leaf", text, id="a\r\n\t")
+        assert tree == xml_to_json(json_to_xml(tree))
+        assert tree["children"][0]["text"] == read
+        assert tree["children"][0]["attributes"] == {"id": "a\r\n\t"}
+
+    @pytest.mark.parametrize("bad", ["\x01", "\x0b", "\ufffe", "\ud800"])
+    def test_character_xml_forbids_raises(self, bad):
+        tree = xmljson.root("r")
+        with pytest.raises(FormatError, match="XML 1.0"):
+            xmljson.sub(tree, "leaf", f"a{bad}")
+        with pytest.raises(FormatError, match="XML 1.0"):
+            xmljson.sub(tree, "leaf", id=bad)
 
     def test_malformed_xml_raises(self):
         with pytest.raises(FormatError):
