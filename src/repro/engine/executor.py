@@ -5,7 +5,7 @@ Runs an :class:`repro.etlmodel.flow.EtlFlow` against a
 wall-clock time and throughput, so the "overall execution time" quality
 factor of the demo can be *measured*, not only estimated.
 
-Two execution modes share one dispatch skeleton:
+Four execution modes share one dispatch skeleton:
 
 * ``"columnar"`` (default) — the compiled-columnar core: operations run
   over :class:`repro.engine.columnar.ColumnarRelation` column arrays,
@@ -25,15 +25,10 @@ Two execution modes share one dispatch skeleton:
 * ``"parallel"`` — the columnar core with partitioned execution:
   relations are split into contiguous row chunks and the fused chains,
   selections, derivations, join probes and grouping scans run across a
-  worker pool (:mod:`repro.engine.parallel`), with chunk results merged
-  in chunk order so results stay byte-identical to ``"columnar"``.
-  ``pool="thread"`` (default) shares columns zero-copy across a
-  ``ThreadPoolExecutor``; ``pool="process"`` ships chunks to a
-  ``ProcessPoolExecutor`` through the shared-memory column transport
-  of :mod:`repro.engine.shm` and recompiles expressions worker-side.
-  Small inputs (below ``parallel_row_threshold``; the default is
-  pool-aware, since process dispatch costs far more per chunk than
-  thread dispatch) fall back to the serial kernels.
+  ``ThreadPoolExecutor`` (:mod:`repro.engine.parallel`), with chunk
+  results merged in chunk order so results stay byte-identical to
+  ``"columnar"``.  Small inputs (below ``parallel_row_threshold``) fall
+  back to the serial kernels.
 
 Structural bookkeeping is shared and cheap: the topological order is
 computed once per ``execute()`` and intermediate results are released by
@@ -43,8 +38,7 @@ a per-node consumer countdown (O(V+E) overall, not O(n²)).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -58,27 +52,20 @@ from repro.engine.columnar import (
     unhashable_key_error,
 )
 from repro.engine.parallel import (
+    DEFAULT_PARALLEL_ROW_THRESHOLD,
     DEFAULT_WORKERS,
     ChainSpec,
     build_join_index,
     chunk_ranges,
     compile_chain_spec,
     concat_parts,
-    default_row_threshold,
     derive_chunk,
     filter_chunk,
-    gather_join,
     group_chunk,
     join_chunk,
     merge_group_chunks,
-    process_chain_chunk,
-    process_derive_chunk,
-    process_filter_chunk,
-    process_group_chunk,
-    process_probe_chunk,
     run_chain_chunk,
 )
-from repro.engine.shm import ColumnTransport, SharedObject, process_context
 from repro.engine.database import Database, TableDef
 from repro.engine.relation import Relation
 from repro.etlmodel.flow import EtlFlow
@@ -254,20 +241,13 @@ class Executor:
     compiled-columnar engine), ``"planned"`` (the columnar engine behind
     the cost-based rewrite pipeline of :mod:`repro.planner`),
     ``"parallel"`` (the columnar engine with chunk-partitioned operators
-    over a ``workers``-wide pool) or ``"legacy"`` (the row-at-a-time
+    over a ``workers``-wide thread pool) or ``"legacy"`` (the row-at-a-time
     reference interpreter).  All four produce identical results.
 
-    ``pool`` selects the parallel worker pool: ``"thread"`` (default —
-    zero-copy column sharing, GIL-bounded speedup) or ``"process"``
-    (true multi-core, columns shipped through shared memory and
-    expressions recompiled worker-side).  ``parallel_row_threshold``
-    defaults per pool (:func:`repro.engine.parallel.default_row_threshold`):
-    process dispatch pays transport and pickling per chunk, so its
-    serial-fallback cutoff sits an order of magnitude higher.
-
-    A parallel executor owns its pool; it is spawned lazily, reused
-    across ``execute()`` calls and released by :meth:`close` (the
-    executor is also a context manager).
+    A parallel executor owns its thread pool; it is spawned lazily,
+    reused across ``execute()`` calls and released by :meth:`close`
+    (the executor is also a context manager).  Relations shorter than
+    ``parallel_row_threshold`` rows run on the serial kernels.
     """
 
     def __init__(
@@ -275,24 +255,16 @@ class Executor:
         database: Database,
         mode: str = "columnar",
         workers: int = DEFAULT_WORKERS,
-        parallel_row_threshold: Optional[int] = None,
-        pool: str = "thread",
+        parallel_row_threshold: int = DEFAULT_PARALLEL_ROW_THRESHOLD,
     ) -> None:
         if mode not in ("columnar", "legacy", "planned", "parallel"):
             raise ValueError(f"unknown executor mode {mode!r}")
-        if pool not in ("thread", "process"):
-            raise ValueError(f"unknown worker pool {pool!r}")
         if workers < 1:
             raise ValueError("workers must be at least 1")
         self._database = database
         self.mode = mode
         self.workers = workers
-        self.pool = pool
-        self._parallel_threshold = (
-            parallel_row_threshold
-            if parallel_row_threshold is not None
-            else default_row_threshold(pool)
-        )
+        self._parallel_threshold = parallel_row_threshold
         self._pool_instance = None
         table = _LEGACY_DISPATCH if mode == "legacy" else _COLUMNAR_DISPATCH
         self._dispatch: Dict[str, Callable] = {
@@ -313,28 +285,16 @@ class Executor:
     @property
     def _pool(self):
         if self._pool_instance is None:
-            if self.pool == "process":
-                self._pool_instance = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=process_context(),
-                )
-            else:
-                self._pool_instance = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="repro-exec",
-                )
+            self._pool_instance = ThreadPoolExecutor(
+                max_workers=self.workers,
+                thread_name_prefix="repro-exec",
+            )
         return self._pool_instance
 
     def close(self) -> None:
         """Release the worker pool (no-op for serial executors)."""
         if self._pool_instance is not None:
             self._pool_instance.shutdown(wait=True)
-            self._pool_instance = None
-
-    def _discard_pool(self) -> None:
-        """Drop a broken pool; the next use lazily spawns a fresh one."""
-        if self._pool_instance is not None:
-            self._pool_instance.shutdown(wait=False)
             self._pool_instance = None
 
     def __enter__(self) -> "Executor":
@@ -447,14 +407,6 @@ class Executor:
         return method(operation, inputs, stats)
 
     # -- fusion -------------------------------------------------------------
-
-    def _fusion_plan(
-        self,
-        flow: EtlFlow,
-        order: List[str],
-        inputs_of: Dict[str, List[str]],
-    ) -> Tuple[Dict[str, List[str]], frozenset]:
-        return fusion_plan(flow, order, inputs_of)
 
     def _execute_chain(
         self,
@@ -693,12 +645,6 @@ class Executor:
         The earliest chunk's exception wins — that chunk holds the
         globally-first failing row, so the error surfaced matches the
         serial engine's exactly.
-
-        A dead worker (as opposed to a task that raised) breaks the
-        whole process pool: that surfaces as an honest
-        :class:`ExecutionError`, the broken pool is discarded, and the
-        executor stays usable — the next parallel node spawns a fresh
-        pool.
         """
         results = []
         error: Optional[BaseException] = None
@@ -710,12 +656,6 @@ class Executor:
                     error = exc
             else:
                 future.cancel()
-        if isinstance(error, BrokenProcessPool):
-            self._discard_pool()
-            raise ExecutionError(
-                "parallel worker process died mid-task; the pool was "
-                "restarted — re-run the flow"
-            ) from error
         if error is not None:
             raise error
         return results
@@ -726,45 +666,16 @@ class Executor:
         Pure structural programs stay serial — they are zero-copy column
         re-selections, and chunking would force a copy.
         """
-        if (
-            self.mode != "parallel"
-            or not program.steps
-            or relation.length < self._parallel_threshold
-        ):
+        ranges = None
+        if self.mode == "parallel" and program.steps:
+            ranges = self._parallel_ranges(relation.length)
+        if ranges is None:
             return program.run(relation)
-        ranges = chunk_ranges(relation.length, self.workers)
-        if len(ranges) <= 1:
-            return program.run(relation)
-        if self.pool == "process":
-            # Ship only the chain's read-set; workers recompile the
-            # spec behind their own per-process cache.
-            with ColumnTransport(
-                {
-                    name: relation.columns[name]
-                    for name in program.input_names
-                },
-                relation.length,
-            ) as transport:
-                futures = [
-                    self._pool.submit(
-                        process_chain_chunk,
-                        program.spec,
-                        transport.chunk_payload(
-                            program.input_names, start, stop
-                        ),
-                        stop - start,
-                    )
-                    for start, stop in ranges
-                ]
-                parts = self._chunk_results(futures)
-        else:
-            futures = [
-                self._pool.submit(
-                    run_chain_chunk, program, relation, start, stop
-                )
-                for start, stop in ranges
-            ]
-            parts = self._chunk_results(futures)
+        futures = [
+            self._pool.submit(run_chain_chunk, program, relation, start, stop)
+            for start, stop in ranges
+        ]
+        parts = self._chunk_results(futures)
         result = concat_parts(
             program.output_schema, [part for part, __ in parts]
         )
@@ -773,26 +684,6 @@ class Executor:
             for counts in zip(*(counts for __, counts in parts))
         ]
         return result, filter_counts
-
-    def _process_map_chunks(self, task, compiled, columns, ranges):
-        """Run a per-chunk expression kernel in the process pool.
-
-        Transports only the expression's argument columns; each chunk
-        task carries the source text plus its payload and global start.
-        """
-        names = list(compiled.attributes)
-        length = ranges[-1][1]
-        with ColumnTransport(dict(zip(names, columns)), length) as transport:
-            futures = [
-                self._pool.submit(
-                    task,
-                    compiled.text,
-                    transport.chunk_payload(names, start, stop),
-                    start,
-                )
-                for start, stop in ranges
-            ]
-            return self._chunk_results(futures)
 
     def _filter_parallel(self, operation: Selection, inputs, stats):
         relation: ColumnarRelation = inputs[0]
@@ -803,20 +694,13 @@ class Executor:
             # Serial fallbacks (row-at-a-time evaluation, constant
             # predicates, small inputs) — same results, same errors.
             return self._filter_columnar(operation, inputs, stats)
-        if self.pool == "process":
-            chunks = self._process_map_chunks(
-                process_filter_chunk, compiled, columns, ranges
-            )
-        else:
-            function = compiled.column_fn
-            chunks = self._chunk_results(
-                [
-                    self._pool.submit(
-                        filter_chunk, function, columns, start, stop
-                    )
-                    for start, stop in ranges
-                ]
-            )
+        function = compiled.column_fn
+        chunks = self._chunk_results(
+            [
+                self._pool.submit(filter_chunk, function, columns, start, stop)
+                for start, stop in ranges
+            ]
+        )
         keep: List[int] = []
         for chunk in chunks:
             keep.extend(chunk)
@@ -835,20 +719,13 @@ class Executor:
         ranges = self._parallel_ranges(relation.length)
         if columns is None or not compiled.attributes or ranges is None:
             return self._derive_columnar(operation, inputs, stats)
-        if self.pool == "process":
-            chunks = self._process_map_chunks(
-                process_derive_chunk, compiled, columns, ranges
-            )
-        else:
-            function = compiled.column_fn
-            chunks = self._chunk_results(
-                [
-                    self._pool.submit(
-                        derive_chunk, function, columns, start, stop
-                    )
-                    for start, stop in ranges
-                ]
-            )
+        function = compiled.column_fn
+        chunks = self._chunk_results(
+            [
+                self._pool.submit(derive_chunk, function, columns, start, stop)
+                for start, stop in ranges
+            ]
+        )
         derived: list = []
         for chunk in chunks:
             derived.extend(chunk)
@@ -872,11 +749,6 @@ class Executor:
             # FK join and inherently order-dependent); the probes fan
             # out, each producing its slice of the matched positions.
             index = build_join_index(right, right_keys)
-            if self.pool == "process":
-                return self._probe_gather_process(
-                    index, left, right, left_keys, payload, schema,
-                    left_outer, ranges,
-                )
             futures = [
                 self._pool.submit(
                     join_chunk,
@@ -893,49 +765,11 @@ class Executor:
                 for start, stop in ranges
             ]
             parts = self._chunk_results(futures)
-        except ExecutionError:
-            raise
         except TypeError as exc:
             named = [(key, left.columns[key]) for key in left_keys]
             named += [(key, right.columns[key]) for key in right_keys]
             raise unhashable_key_error("join", named, exc) from exc
         return concat_parts(schema, parts)
-
-    def _probe_gather_process(
-        self, index, left, right, left_keys, payload, schema,
-        left_outer, ranges,
-    ):
-        """Probe chunks in the process pool, gather once in the parent.
-
-        The serially-built index travels as one shared pickled blob;
-        each chunk transports only its slice of the left key columns
-        and returns matched positions.  The single parent-side gather
-        is exactly the serial ``hash_join`` gather, so output bytes
-        match however many chunks probed.
-        """
-        with SharedObject(index) as shared_index, ColumnTransport(
-            {key: left.columns[key] for key in left_keys}, left.length
-        ) as transport:
-            handle = shared_index.handle()
-            futures = [
-                self._pool.submit(
-                    process_probe_chunk,
-                    handle,
-                    transport.chunk_payload(left_keys, start, stop),
-                    left_outer,
-                    start,
-                )
-                for start, stop in ranges
-            ]
-            parts = self._chunk_results(futures)
-        left_take: List[int] = []
-        right_take: List[int] = []
-        for chunk_left, chunk_right in parts:
-            left_take.extend(chunk_left)
-            right_take.extend(chunk_right)
-        return gather_join(
-            left, right, payload, schema, left_outer, left_take, right_take
-        )
 
     def _aggregate_parallel(self, operation: Aggregation, inputs, stats):
         from repro.etlmodel.propagation import _aggregation_schema
@@ -950,32 +784,11 @@ class Executor:
             relation.columns[name] for name in operation.group_by
         ]
         try:
-            if self.pool == "process":
-                with ColumnTransport(
-                    dict(zip(operation.group_by, group_columns)),
-                    relation.length,
-                ) as transport:
-                    futures = [
-                        self._pool.submit(
-                            process_group_chunk,
-                            transport.chunk_payload(
-                                operation.group_by, start, stop
-                            ),
-                            start,
-                        )
-                        for start, stop in ranges
-                    ]
-                    parts = self._chunk_results(futures)
-            else:
-                futures = [
-                    self._pool.submit(
-                        group_chunk, group_columns, start, stop
-                    )
-                    for start, stop in ranges
-                ]
-                parts = self._chunk_results(futures)
-        except ExecutionError:
-            raise
+            futures = [
+                self._pool.submit(group_chunk, group_columns, start, stop)
+                for start, stop in ranges
+            ]
+            parts = self._chunk_results(futures)
         except TypeError as exc:
             raise unhashable_key_error(
                 "aggregate", zip(operation.group_by, group_columns), exc
@@ -1264,8 +1077,8 @@ def _build_chain_spec(
 
     The spec's ``input_names`` are compacted to the chain's *read-set*:
     input columns no step reads and the output does not keep are
-    dropped from the slot space entirely, so chunk slicing (and the
-    process pool's column transport) never touches them.
+    dropped from the slot space entirely, so chunk slicing never
+    touches them.
     """
     from repro.etlmodel.propagation import _derive_schema
 
@@ -1366,7 +1179,3 @@ def _build_chain_spec(
         ),
         filter_count=filter_count,
     )
-
-
-#: Backwards-compatible alias (the helper moved to the columnar module).
-_aggregate_values = aggregate_values

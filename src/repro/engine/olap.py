@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import EngineError
+from repro.engine.columnar import aggregate_values
 from repro.engine.database import Database
 from repro.engine.relation import Relation
 from repro.engine.sqlgen import select_statement
@@ -56,8 +57,6 @@ def query_star(database: Database, query: OlapQuery) -> Relation:
     Joins each listed dimension into the fact rows, applies the slicer,
     groups and aggregates.  Deterministic output order (group-by key).
     """
-    from repro.engine.executor import _aggregate_values
-
     fact = database.scan(query.fact_table)
     schema = dict(fact.schema)
     rows = [dict(row) for row in fact.rows]
@@ -114,7 +113,7 @@ def query_star(database: Database, query: OlapQuery) -> Relation:
                 for member in members
                 if member[input_column] is not None
             ]
-            out[alias] = _aggregate_values(function, values)
+            out[alias] = aggregate_values(function, values)
         output_rows.append(out)
     for function, input_column, alias in query.aggregates:
         if function == "COUNT":

@@ -1,7 +1,7 @@
 """Partitioned kernels for the parallel columnar engine.
 
 ``Executor(mode="parallel")`` splits each relation into contiguous
-row-range chunks and drives the per-chunk kernels below across a worker
+row-range chunks and drives the per-chunk kernels below across a thread
 pool.  The contract of every kernel is **byte-identical results** to
 the serial columnar engine:
 
@@ -24,28 +24,16 @@ the serial columnar engine:
   key columns (:func:`repro.engine.columnar.unhashable_key_error`), so
   messages are independent of which chunk tripped first.
 
-The kernels are pure functions over explicit arguments and come in two
-transport shapes:
+The kernels (:func:`filter_chunk`, :func:`derive_chunk`,
+:func:`join_chunk`, :func:`group_chunk`, :func:`run_chain_chunk`) are
+pure functions over explicit arguments that share column lists
+zero-copy across a ``ThreadPoolExecutor``; on CPython the GIL bounds
+their speedup.
 
-* **Thread kernels** (:func:`filter_chunk`, :func:`derive_chunk`,
-  :func:`join_chunk`, :func:`group_chunk`, :func:`run_chain_chunk`)
-  share column lists zero-copy across a ``ThreadPoolExecutor``; on
-  CPython the GIL bounds their speedup.
-* **Process kernels** (the ``process_*_chunk`` functions) run on a
-  ``ProcessPoolExecutor``.  Their arguments must pickle, so they take
-  *expression source text* instead of compiled closures — workers
-  recompile behind :func:`repro.expressions.compiler.compile_expression`'s
-  per-process LRU — and column data arrives through the shared-memory
-  transport of :mod:`repro.engine.shm` (only the read-set of each
-  kernel is shipped; fixed-width columns ride shared memory, object
-  columns pickle per chunk).  Workers return plain positions/values;
-  output gathering stays in the parent, so floats and row order never
-  pass through a lossy representation.
-
-Fused chains compile from a :class:`ChainSpec` — a frozen, picklable,
-hashable description (expression *texts* plus resolved slot indices) —
-via :func:`compile_chain_spec`, memoised per process, so the same chain
-compiles once in the parent and once in each worker that executes it.
+Fused chains compile from a :class:`ChainSpec` — a frozen, hashable
+description (expression *texts* plus resolved slot indices) — via
+:func:`compile_chain_spec`, memoised, so a chain compiles once however
+often it runs.
 """
 
 from __future__ import annotations
@@ -55,7 +43,6 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.columnar import ColumnarRelation
-from repro.engine.shm import SharedObjectHandle, hydrate_chunk
 from repro.expressions.compiler import compile_expression
 from repro.expressions.types import ScalarType
 
@@ -65,19 +52,6 @@ DEFAULT_WORKERS = 4
 #: Relations smaller than this run on the serial columnar kernels —
 #: below it, chunk bookkeeping costs more than the scan itself.
 DEFAULT_PARALLEL_ROW_THRESHOLD = 4096
-
-#: The process pool's serial-fallback threshold is higher: a process
-#: dispatch pays pickling, shared-memory packing and result transport
-#: on top of the chunk bookkeeping, so the break-even row count is
-#: roughly an order of magnitude above the thread pool's.
-DEFAULT_PROCESS_ROW_THRESHOLD = 32768
-
-
-def default_row_threshold(pool: str) -> int:
-    """The serial-fallback row threshold for a pool kind."""
-    if pool == "process":
-        return DEFAULT_PROCESS_ROW_THRESHOLD
-    return DEFAULT_PARALLEL_ROW_THRESHOLD
 
 
 def chunk_ranges(length: int, workers: int) -> List[Tuple[int, int]]:
@@ -157,32 +131,6 @@ def derive_chunk(
 ) -> list:
     """The derived values of the chunk's rows, in row order."""
     chunk = [column[start:stop] for column in argument_columns]
-    return list(map(function, *chunk))
-
-
-def process_filter_chunk(expression: str, payload, start: int) -> List[int]:
-    """Process-pool filter kernel: recompile, evaluate, global positions.
-
-    ``payload`` transports the predicate's argument columns (rows
-    ``[start, start + n)``) in ``compiled.attributes`` order.
-    """
-    function = compile_expression(expression).column_fn
-    chunk = hydrate_chunk(payload)
-    return [
-        start + offset
-        for offset, value in enumerate(map(function, *chunk))
-        if value is True
-    ]
-
-
-def process_derive_chunk(expression: str, payload, start: int = 0) -> list:
-    """Process-pool derive kernel: recompile and map over the chunk.
-
-    ``start`` is unused — kept for the uniform expression-kernel
-    signature ``(text, payload, start)`` the dispatcher relies on.
-    """
-    function = compile_expression(expression).column_fn
-    chunk = hydrate_chunk(payload)
     return list(map(function, *chunk))
 
 
@@ -330,22 +278,6 @@ def join_chunk(
     )
 
 
-def process_probe_chunk(
-    index_handle: SharedObjectHandle,
-    key_payload,
-    left_outer: bool,
-    start: int,
-) -> Tuple[List[int], List[int]]:
-    """Process-pool probe kernel: positions only, gather stays parent-side.
-
-    The serially-built index arrives as one shared pickled blob (not a
-    per-task copy); the chunk transports only the left key columns.
-    """
-    index = index_handle.load()
-    key_columns = hydrate_chunk(key_payload)
-    return probe_positions(index, key_columns, left_outer, start)
-
-
 # -- aggregation --------------------------------------------------------------
 
 
@@ -358,12 +290,6 @@ def group_chunk(
     wrap.
     """
     chunk_columns = [column[start:stop] for column in group_columns]
-    return _group_local(chunk_columns, start)
-
-
-def _group_local(
-    chunk_columns: List[list], base: int
-) -> Tuple[List[tuple], List[List[int]]]:
     group_of: Dict[tuple, int] = {}
     keys_in_order: List[tuple] = []
     members: List[List[int]] = []
@@ -373,15 +299,8 @@ def _group_local(
             group_of[key] = slot = len(members)
             keys_in_order.append(key)
             members.append([])
-        members[slot].append(base + offset)
+        members[slot].append(start + offset)
     return keys_in_order, members
-
-
-def process_group_chunk(
-    key_payload, start: int
-) -> Tuple[List[tuple], List[List[int]]]:
-    """Process-pool grouping kernel over transported key columns."""
-    return _group_local(hydrate_chunk(key_payload), start)
 
 
 def merge_group_chunks(
@@ -414,14 +333,13 @@ def merge_group_chunks(
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """A picklable, hashable description of one fused unary chain.
+    """A hashable description of one fused unary chain.
 
     ``steps`` hold expression *source text* plus resolved slot indices
-    — never compiled closures — so a spec crosses process boundaries
-    and keys the per-process compile cache.  ``input_names`` is the
-    chain's **read-set**: the input columns the steps and the output
-    actually touch, not the whole input schema (chunk tasks slice and
-    transport only these).
+    — never compiled closures — so a spec keys the compile cache of
+    :func:`compile_chain_spec`.  ``input_names`` is the chain's
+    **read-set**: the input columns the steps and the output actually
+    touch, not the whole input schema (chunk tasks slice only these).
     """
 
     input_names: Tuple[str, ...]
@@ -443,7 +361,6 @@ class ChainProgram:
     """
 
     def __init__(self, spec: ChainSpec) -> None:
-        self.spec = spec
         self.input_names = list(spec.input_names)
         self.steps = [
             (kind, compile_expression(text).column_fn, positions, slot)
@@ -507,12 +424,8 @@ class ChainProgram:
 
 @lru_cache(maxsize=512)
 def compile_chain_spec(spec: ChainSpec) -> ChainProgram:
-    """Compile a chain spec, memoised per process.
-
-    In the parent this deduplicates repeated chains across ``execute()``
-    calls; in a pool worker it is the per-process cache the recompile
-    story relies on — each worker compiles a given chain exactly once.
-    """
+    """Compile a chain spec, memoised: repeated chains across
+    ``execute()`` calls compile once."""
     return ChainProgram(spec)
 
 
@@ -526,22 +439,3 @@ def run_chain_chunk(program, relation: ColumnarRelation, start: int, stop: int):
         slice_relation(relation, start, stop, names=program.input_names)
     )
 
-
-def process_chain_chunk(spec: ChainSpec, payload, length: int):
-    """Process-pool chain kernel: rebuild the program, run the chunk.
-
-    ``payload`` transports ``spec.input_names`` (in order) for the
-    chunk's rows; the compiled program comes from the worker's own
-    :func:`compile_chain_spec` cache.
-    """
-    program = compile_chain_spec(spec)
-    columns = hydrate_chunk(payload)
-    relation = ColumnarRelation(
-        schema={
-            name: program.output_schema.get(name)
-            for name in program.input_names
-        },
-        columns=dict(zip(program.input_names, columns)),
-        length=length,
-    )
-    return program.run(relation)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from typing import List, Tuple
 
+from repro.engine.columnar import aggregate_values
 from repro.engine.database import Database, TableDef
 from repro.engine.relation import Relation
 from repro.errors import EngineError
@@ -155,8 +156,6 @@ def _split_top_level(text: str) -> List[str]:
 
 
 def _aggregate(source, rows, group_columns, aggregates) -> Relation:
-    from repro.engine.executor import _aggregate_values
-
     groups = {}
     if not group_columns:
         groups[()] = []
@@ -181,6 +180,6 @@ def _aggregate(source, rows, group_columns, aggregates) -> Relation:
                 for member in members
                 if member[column] is not None
             ]
-            row[alias] = _aggregate_values(function, values)
+            row[alias] = aggregate_values(function, values)
         output.append(row)
     return Relation(schema=schema, rows=output)

@@ -68,13 +68,6 @@ class CompiledExpression:
     def __call__(self, row: dict):
         return self.row_fn(row)
 
-    def __reduce__(self):
-        # Closures over exec'd code cannot pickle; ship the source text
-        # and recompile on arrival.  Unpickling goes through
-        # :func:`compile_expression`, so each receiving process pays the
-        # compile once and its LRU serves every later arrival.
-        return (compile_expression, (self.text,))
-
 
 class _CodeGen:
     """Lowers one AST to the body of a Python function.

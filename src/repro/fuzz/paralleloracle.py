@@ -17,10 +17,7 @@ in full: division *and* unhashable injection stay enabled.
 
 The executor runs with ``workers=3`` and ``parallel_row_threshold=2``
 so even the fuzzer's tiny tables actually chunk — the default
-threshold would silently test the serial path.  Every trial sweeps
-**both worker pools**: the thread pool and the process pool, whose
-shared-memory transport, recompile-in-worker caches and parent-side
-gathers are each a fresh way to lose byte-identity.
+threshold would silently test the serial path.
 """
 
 from __future__ import annotations
@@ -39,17 +36,12 @@ Outcome = Tuple[str, object]
 PARALLEL_WORKERS = 3
 PARALLEL_ROW_THRESHOLD = 2
 
-#: Every trial checks serial against each of these worker pools.
-POOLS = ("thread", "process")
-
 
 class ParallelTrial(FlowTrial):
     """A flow trial checked for parallel/serial byte-identity."""
 
 
-def execute_parallel_trial(
-    mode: str, trial: FlowTrial, pool: str = "thread"
-) -> Outcome:
+def execute_parallel_trial(mode: str, trial: FlowTrial) -> Outcome:
     """Run the trial on a fresh database; ordered canonical outcome."""
     database = LooseDatabase.from_specs(trial.tables)
     executor = Executor(
@@ -57,7 +49,6 @@ def execute_parallel_trial(
         mode=mode,
         workers=PARALLEL_WORKERS,
         parallel_row_threshold=PARALLEL_ROW_THRESHOLD,
-        pool=pool,
     )
     try:
         with executor:
@@ -77,24 +68,14 @@ def execute_parallel_trial(
 
 
 def check_parallel_trial(trial: FlowTrial) -> Optional[str]:
-    """``None`` when serial and every parallel pool agree byte-for-byte.
+    """``None`` when serial and parallel agree byte-for-byte.
 
     The category (text before the first colon) is
     ``parallel-divergence`` so the shrinker preserves the failure class
     while minimising.
     """
     serial = execute_parallel_trial("columnar", trial)
-    for pool in POOLS:
-        parallel = execute_parallel_trial("parallel", trial, pool=pool)
-        report = _compare_outcomes(serial, parallel, pool)
-        if report is not None:
-            return report
-    return None
-
-
-def _compare_outcomes(
-    serial: Outcome, parallel: Outcome, pool: str
-) -> Optional[str]:
+    parallel = execute_parallel_trial("parallel", trial)
     if serial == parallel:
         return None
     serial_kind, serial_value = serial
@@ -102,7 +83,7 @@ def _compare_outcomes(
     if serial_kind != parallel_kind or serial_kind == "error":
         return (
             f"parallel-divergence: columnar -> {serial_kind} "
-            f"({serial_value!r}), parallel[{pool}] -> {parallel_kind} "
+            f"({serial_value!r}), parallel -> {parallel_kind} "
             f"({parallel_value!r})"
         )
     for target in sorted(serial_value):
@@ -119,7 +100,7 @@ def _compare_outcomes(
             )
             return (
                 f"parallel-divergence: table {target!r}: columnar "
-                f"{len(before)} row(s) vs parallel[{pool}] "
+                f"{len(before)} row(s) vs parallel "
                 f"{len(after)}, first difference at row {divergence}: "
                 f"{before[divergence:divergence + 1]!r} vs "
                 f"{after[divergence:divergence + 1]!r}"

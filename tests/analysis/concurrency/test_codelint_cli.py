@@ -138,7 +138,7 @@ def test_graph_emits_static_lock_graph(capsys):
 def test_list_rules_spans_both_registries(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in ("QRY901", "QRY905", "QRY907"):
+    for code in ("QRY901", "QRY907"):
         assert code in out
     assert "QRY001" in out  # design rules share the catalog
 
@@ -202,16 +202,6 @@ def test_list_rules_spans_both_registries(capsys):
 
                 def bump(self):
                     self._n += 1
-            """,
-        ),
-        (
-            "QRY905",
-            """
-            _CACHE = {}
-
-            def process_rows(rows):
-                _CACHE[1] = rows
-                return rows
             """,
         ),
     ],

@@ -27,7 +27,7 @@ class TestRegistry:
             | {f"QRY30{i}" for i in range(1, 4)}
             | {f"QRY4{i:02d}" for i in range(1, 14)}
             | {f"QRY50{i}" for i in range(1, 6)}
-            | {f"QRY90{i}" for i in range(1, 8)}
+            | {"QRY901", "QRY902", "QRY903", "QRY904", "QRY906", "QRY907"}
         )
         assert codes == expected
 

@@ -4,21 +4,18 @@ Every test forces chunking (``parallel_row_threshold`` far below the
 data size) and compares ``mode="parallel"`` against ``mode="columnar"``
 — the contract is byte-identical results: row order, NULL placement,
 group order, float bits and error messages all included.  The
-equivalence and error-parity suites sweep **both worker pools**
-(``thread`` and ``process``): the shared-memory transport and
-recompile-in-worker path must not change a single byte.
+equivalence, error-parity and stats-parity suites are parametrised
+over ``POOLS``, the worker pools the parallel engine runs its chunks
+on; the thread pool is the only one.
 """
 
-import os
 import random
-import sys
 
 import pytest
 
 from repro.engine import Database, Executor, TableDef
 from repro.engine.parallel import (
     DEFAULT_PARALLEL_ROW_THRESHOLD,
-    DEFAULT_PROCESS_ROW_THRESHOLD,
     chunk_ranges,
     slice_relation,
 )
@@ -47,7 +44,7 @@ DEC = ScalarType.DECIMAL
 
 ROWS = 503  # odd on purpose: chunks must handle uneven splits
 
-POOLS = ("thread", "process")
+POOLS = ("thread",)
 
 
 def make_database(rows: int = ROWS) -> Database:
@@ -82,7 +79,7 @@ def make_database(rows: int = ROWS) -> Database:
     return database
 
 
-def run_modes(build_flow, make_db=make_database, workers=3, pool="thread"):
+def run_modes(build_flow, make_db=make_database, workers=3):
     """Execute a flow in both modes on fresh twin databases."""
     outcomes = []
     for mode in ("columnar", "parallel"):
@@ -92,7 +89,6 @@ def run_modes(build_flow, make_db=make_database, workers=3, pool="thread"):
             mode=mode,
             workers=workers,
             parallel_row_threshold=2,
-            pool=pool,
         )
         try:
             with executor:
@@ -111,8 +107,8 @@ def run_modes(build_flow, make_db=make_database, workers=3, pool="thread"):
     return outcomes
 
 
-def assert_identical(build_flow, make_db=make_database, workers=3, pool="thread"):
-    columnar, parallel = run_modes(build_flow, make_db, workers, pool)
+def assert_identical(build_flow, make_db=make_database, workers=3):
+    columnar, parallel = run_modes(build_flow, make_db, workers)
     assert parallel == columnar
 
 
@@ -147,7 +143,7 @@ class TestOperatorEquivalence:
             )
             return flow
 
-        assert_identical(build, pool=pool)
+        assert_identical(build)
 
     def test_join_with_duplicates_and_null_keys(self, pool):
         def build():
@@ -165,7 +161,7 @@ class TestOperatorEquivalence:
             flow.connect("join", "load")
             return flow
 
-        assert_identical(build, pool=pool)
+        assert_identical(build)
 
     def test_left_outer_join_null_placement(self, pool):
         def build():
@@ -186,7 +182,7 @@ class TestOperatorEquivalence:
             flow.connect("join", "load")
             return flow
 
-        assert_identical(build, pool=pool)
+        assert_identical(build)
 
     def test_multi_key_join(self, pool):
         def build():
@@ -214,7 +210,7 @@ class TestOperatorEquivalence:
             flow.connect("join", "load")
             return flow
 
-        assert_identical(build, pool=pool)
+        assert_identical(build)
 
     def test_aggregation_group_order_and_float_bits(self, pool):
         def build():
@@ -237,7 +233,7 @@ class TestOperatorEquivalence:
 
         # Exact equality on unrounded float sums/means: the merge must
         # fold the serial value sequences, not partial per-chunk sums.
-        assert_identical(build, pool=pool)
+        assert_identical(build)
 
     def test_global_aggregate_single_row(self, pool):
         def build():
@@ -255,7 +251,7 @@ class TestOperatorEquivalence:
             )
             return flow
 
-        assert_identical(build, pool=pool)
+        assert_identical(build)
 
     def test_sort_stability_and_distinct(self, pool):
         def build():
@@ -269,7 +265,7 @@ class TestOperatorEquivalence:
             )
             return flow
 
-        assert_identical(build, pool=pool)
+        assert_identical(build)
 
     def test_revenue_flow_end_to_end(self, pool):
         from repro.sources import tpch
@@ -284,7 +280,6 @@ class TestOperatorEquivalence:
                 mode=mode,
                 workers=4,
                 parallel_row_threshold=64,
-                pool=pool,
             )
             with executor:
                 executor.execute(build_revenue_flow())
@@ -312,14 +307,14 @@ class TestErrorParity:
             )
             return flow
 
-        columnar, parallel = run_modes(build, pool=pool)
+        columnar, parallel = run_modes(build)
         assert parallel == columnar
 
     @pytest.mark.parametrize("pool", POOLS)
     def test_unhashable_join_key_message_matches_serial(self, pool):
         # list-valued keys are unhashable: the error message must be
         # the serial engine's full-column scan message, whatever chunk
-        # tripped first and whichever pool probed.  The strict database
+        # tripped first.  The strict database
         # rejects lists on insert, so the fuzzer's loose duck-type
         # carries them to the operators.
         from repro.fuzz.datagen import LooseDatabase, TableSpec
@@ -354,7 +349,7 @@ class TestErrorParity:
             flow.connect("join", "load")
             return flow
 
-        columnar, parallel = run_modes(build, make_db=make_db, pool=pool)
+        columnar, parallel = run_modes(build, make_db=make_db)
         assert columnar[0] == "error"
         assert parallel == columnar
 
@@ -363,8 +358,6 @@ class TestErrorParity:
             Executor(Database(), mode="threads")
         with pytest.raises(ValueError, match="workers"):
             Executor(Database(), mode="parallel", workers=0)
-        with pytest.raises(ValueError, match="unknown worker pool"):
-            Executor(Database(), mode="parallel", pool="fibers")
 
 
 class TestSerialFallback:
@@ -426,46 +419,14 @@ def _simple_flow(predicate="k >= 0", out="out"):
     return flow
 
 
-class TestProcessPoolLifecycle:
-    def test_worker_death_is_honest_and_pool_replaced(self):
-        database = make_database(rows=60)
-        executor = Executor(
-            database,
-            mode="parallel",
-            workers=2,
-            parallel_row_threshold=2,
-            pool="process",
-        )
-        with executor:
-            executor.execute(_simple_flow())
-            broken = executor._pool_instance
-            assert broken is not None
-            # Kill a worker mid-"task": the pool breaks, which must
-            # surface as an honest ExecutionError — not a hang, not a
-            # half-merged result — and the broken pool is discarded.
-            future = broken.submit(os._exit, 13)
-            with pytest.raises(ExecutionError, match="worker process died"):
-                executor._chunk_results([future])
-            assert executor._pool_instance is None
-            # The executor stays usable: the next parallel node spawns
-            # a fresh pool.
-            executor.execute(_simple_flow("k < 10", out="out2"))
-            assert executor._pool_instance is not None
-            assert executor._pool_instance is not broken
-            assert len(database.scan("out2")) == 10
-        assert executor._pool_instance is None  # context exit shut it down
-
+class TestPoolLifecycle:
     def test_task_exception_does_not_break_pool(self):
-        # An exception *raised by the task* (here: a division by zero
-        # hit after recompiling in the worker) is a normal error path —
-        # the pool survives and is reused.
+        # An exception *raised by a chunk task* (here: a division by
+        # zero) is a normal error path — the pool survives and is
+        # reused by the next execution.
         database = make_database(rows=60)
         executor = Executor(
-            database,
-            mode="parallel",
-            workers=2,
-            parallel_row_threshold=2,
-            pool="process",
+            database, mode="parallel", workers=2, parallel_row_threshold=2
         )
         flow = EtlFlow("t")
         flow.chain(
@@ -482,46 +443,20 @@ class TestProcessPoolLifecycle:
             assert pool is not None
             executor.execute(_simple_flow(out="out2"))
             assert executor._pool_instance is pool
-
-    def test_start_method_selection(self, monkeypatch):
-        import multiprocessing
-
-        from repro.engine import shm
-
-        if sys.platform not in ("darwin", "win32") and (
-            "fork" in multiprocessing.get_all_start_methods()
-        ):
-            assert shm.process_context().get_start_method() == "fork"
-        # macOS (and Windows) must select spawn: fork is unsafe there.
-        monkeypatch.setattr(shm.sys, "platform", "darwin")
-        assert shm.process_context().get_start_method() == "spawn"
+            assert len(database.scan("out2")) == 60
+        assert executor._pool_instance is None  # context exit shut it down
 
 
-class TestPoolAwareThreshold:
-    def test_defaults_resolve_per_pool(self):
-        thread = Executor(Database(), mode="parallel")
-        process = Executor(Database(), mode="parallel", pool="process")
-        assert thread._parallel_threshold == DEFAULT_PARALLEL_ROW_THRESHOLD
-        assert process._parallel_threshold == DEFAULT_PROCESS_ROW_THRESHOLD
-        assert (
-            DEFAULT_PROCESS_ROW_THRESHOLD > DEFAULT_PARALLEL_ROW_THRESHOLD
-        )
+class TestRowThreshold:
+    def test_default_threshold(self):
+        executor = Executor(Database(), mode="parallel")
+        assert executor._parallel_threshold == DEFAULT_PARALLEL_ROW_THRESHOLD
 
     def test_explicit_threshold_wins(self):
         executor = Executor(
-            Database(),
-            mode="parallel",
-            pool="process",
-            parallel_row_threshold=7,
+            Database(), mode="parallel", parallel_row_threshold=7
         )
         assert executor._parallel_threshold == 7
-
-    def test_small_inputs_never_spawn_process_pool(self):
-        database = make_database(rows=10)
-        executor = Executor(database, mode="parallel", pool="process")
-        with executor:
-            executor.execute(_simple_flow())
-        assert executor._pool_instance is None  # never spun up
 
 
 class TestReadSetShipping:
@@ -548,7 +483,7 @@ class TestReadSetShipping:
         assert spec.output_positions == (0, 1)
 
     def test_compacted_chain_results_match_serial(self):
-        # The chain above, end to end, in both pools.
+        # The chain above, end to end.
         def build():
             flow = EtlFlow("t")
             flow.chain(
@@ -559,8 +494,7 @@ class TestReadSetShipping:
             )
             return flow
 
-        for pool in POOLS:
-            assert_identical(build, pool=pool)
+        assert_identical(build)
 
     def test_slice_relation_names_subset(self):
         database = make_database(rows=20)
@@ -581,7 +515,6 @@ class TestStatsParity:
             mode="parallel",
             workers=3,
             parallel_row_threshold=2,
-            pool=pool,
         )
         flow = EtlFlow("t")
         flow.chain(
