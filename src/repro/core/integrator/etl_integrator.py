@@ -79,11 +79,16 @@ class EtlIntegrator:
         unified: EtlFlow,
         partial: EtlFlow,
         row_counts: Optional[Dict[str, int]] = None,
+        unified_cost: Optional[float] = None,
     ) -> EtlConsolidation:
         """Absorb ``partial`` into a copy of ``unified``.
 
         Inputs are not mutated.  ``row_counts`` feed the cost model for
         the unified-versus-separate estimate in the report.
+        ``unified_cost`` is ``unified``'s cost under the same row
+        counts, when the caller kept it from the fold that produced
+        ``unified`` (its ``cost_unified``); without it the cost model
+        prices ``unified`` again.
         """
         base = normalize(unified) if self._align else unified.copy()
         base.name = unified.name
@@ -92,11 +97,9 @@ class EtlIntegrator:
 
         index = self._build_index(base)
         loaders_by_table = self._build_loader_map(base)
-        for name in incoming.topological_order():
-            operation = incoming.node(name)
-            mapped_inputs = tuple(
-                result.mapping[source] for source in incoming.inputs(name)
-            )
+        for operation, sources in incoming.topological_inputs():
+            name = operation.name
+            mapped_inputs = tuple(result.mapping[source] for source in sources)
             key = (_match_signature(operation), mapped_inputs)
             existing = index.get(key)
             if existing is not None:
@@ -125,19 +128,19 @@ class EtlIntegrator:
         base.requirements |= partial.requirements
 
         result.cost_unified = self._cost_model.total(base, row_counts)
-        result.cost_separate = self._cost_model.total(
-            unified, row_counts
-        ) + self._cost_model.total(partial, row_counts)
+        if unified_cost is None:
+            unified_cost = self._cost_model.total(unified, row_counts)
+        result.cost_separate = unified_cost + self._cost_model.total(
+            partial, row_counts
+        )
         return result
 
     # -- matching ------------------------------------------------------------
 
     def _build_index(self, flow: EtlFlow) -> Dict[Tuple, str]:
         index: Dict[Tuple, str] = {}
-        for name in flow.topological_order():
-            operation = flow.node(name)
-            key = (_match_signature(operation), tuple(flow.inputs(name)))
-            index.setdefault(key, name)
+        for operation, sources in flow.topological_inputs():
+            index.setdefault((_match_signature(operation), sources), operation.name)
         return index
 
     def _build_loader_map(self, flow: EtlFlow) -> Dict[str, str]:

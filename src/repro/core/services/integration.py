@@ -18,7 +18,8 @@ exactly once, when the fold step produces it, and keeps the trees with
 the checkpoint: the checkpoint document and the ``current`` unified
 design share them, and restoring a checkpoint encodes nothing.
 Requirement and partial-design documents store the trees that arrived
-in the partial's envelope.
+in the partial's envelope.  The checkpoint also keeps the unified
+flow's cost, so the next fold step prices only what it builds.
 """
 
 from __future__ import annotations
@@ -50,17 +51,30 @@ KIND_COMMITTED = "design.committed"
 
 
 class _Snapshot(NamedTuple):
-    """One unified design state and its xMD/xLM trees."""
+    """One unified design state, its xMD/xLM trees and its ETL cost.
+
+    ``cost_unified`` is the fold's estimate of ``etl_flow``, or
+    ``None`` for a checkpoint restored from the store.
+    """
 
     md_schema: MDSchema
     etl_flow: EtlFlow
     xmd_tree: dict
     xlm_tree: dict
+    cost_unified: Optional[float]
 
 
-def _snapshot(md_schema: MDSchema, etl_flow: EtlFlow) -> _Snapshot:
+def _snapshot(
+    md_schema: MDSchema, etl_flow: EtlFlow, cost_unified: Optional[float]
+) -> _Snapshot:
     """A unified design state, encoded once."""
-    return _Snapshot(md_schema, etl_flow, xmd.to_tree(md_schema), xlm.to_tree(etl_flow))
+    return _Snapshot(
+        md_schema,
+        etl_flow,
+        xmd.to_tree(md_schema),
+        xlm.to_tree(etl_flow),
+        cost_unified,
+    )
 
 
 def retarget_loaders(flow: EtlFlow, md_result: MDIntegration) -> EtlFlow:
@@ -128,9 +142,10 @@ class IntegrationService:
         self._order: List[str] = []
         # The design before any fold step; integrate()/consolidate()
         # copy their inputs, so it is never mutated and is reused
-        # whenever the fold restarts from scratch.
+        # whenever the fold restarts from scratch.  An empty flow costs
+        # nothing.
         self._empty = _snapshot(
-            MDSchema(name="unified"), EtlFlow(name="unified")
+            MDSchema(name="unified"), EtlFlow(name="unified"), 0.0
         )
         self._unified = self._empty
         # Unified design after each commit, aligned with self._order:
@@ -212,14 +227,19 @@ class IntegrationService:
         self.integration_counts["md"] += 1
         etl_flow = retarget_loaders(partial.etl_flow, md_result)
         etl_result = self._etl_integrator.consolidate(
-            self._unified.etl_flow, etl_flow, row_counts=self._row_counts
+            self._unified.etl_flow,
+            etl_flow,
+            row_counts=self._row_counts,
+            unified_cost=self._unified.cost_unified,
         )
         self.integration_counts["etl"] += 1
         return md_result, etl_result
 
     def _commit(self, partial, md_result, etl_result) -> None:
         requirement_id = partial.requirement.id
-        self._unified = _snapshot(md_result.schema, etl_result.flow)
+        self._unified = _snapshot(
+            md_result.schema, etl_result.flow, etl_result.cost_unified
+        )
         self._partials[requirement_id] = partial
         self._order.append(requirement_id)
         self._checkpoints.append(self._unified)
@@ -287,7 +307,9 @@ class IntegrationService:
         for requirement_id in self._order[start:]:
             partial = self._partials[requirement_id]
             md_result, etl_result = self._integrate_partial(partial)
-            self._unified = _snapshot(md_result.schema, etl_result.flow)
+            self._unified = _snapshot(
+                md_result.schema, etl_result.flow, etl_result.cost_unified
+            )
             self._checkpoints.append(self._unified)
             self._save_checkpoint()
         self.verify_satisfiability()
@@ -419,7 +441,10 @@ class IntegrationService:
                 xmd_tree, xlm_tree = repository.checkpoint_trees(position)
                 checkpoints.append(
                     _Snapshot(
-                        *decode_design(xmd_tree, xlm_tree), xmd_tree, xlm_tree
+                        *decode_design(xmd_tree, xlm_tree),
+                        xmd_tree,
+                        xlm_tree,
+                        None,
                     )
                 )
         except Exception:

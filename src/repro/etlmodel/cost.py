@@ -171,19 +171,18 @@ class CostModel:
         estimates: Dict[str, tuple] = {}
         node_costs: List[NodeCost] = []
         total = 0.0
-        for name in flow.topological_order():
-            operation = flow.node(name)
-            inputs = [estimates[source] for source in flow.inputs(name)]
+        for operation, sources in flow.topological_inputs():
+            inputs = [estimates[source] for source in sources]
             input_rows = [rows for rows, __ in inputs]
             output_rows, fraction = self._estimate_node(
                 operation, inputs, counts
             )
-            estimates[name] = (output_rows, fraction)
+            estimates[operation.name] = (output_rows, fraction)
             cost = self._node_cost(operation, input_rows, output_rows)
             total += cost
             node_costs.append(
                 NodeCost(
-                    name=name,
+                    name=operation.name,
                     kind=operation.kind,
                     input_rows=sum(input_rows),
                     output_rows=output_rows,

@@ -5,13 +5,21 @@ into a binary operation is significant: the first incoming edge is the
 left input of a join/union.  The class offers the structural queries and
 surgery the generator and integrator need (topological order, subflow
 paths, node insertion/removal, grafting one flow into another).
+
+The edge list is the flow's state; an adjacency index derived from it
+answers the structural queries without scanning it.  Only this module
+reads or writes ``_edges``, so the index cannot go stale: ``add`` and
+``connect`` extend the index in place, ``replace_node`` keeps it (the
+structure is unchanged) and every other structural mutator drops it for
+the next query to rebuild in one pass.  The index also keeps the
+topological order until the structure changes.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import (
     EtlError,
@@ -30,6 +38,57 @@ class Edge:
     enabled: bool = True
 
 
+class _Adjacency:
+    """The index derived from a flow's edge list.
+
+    Per node, in node order, its input and its output names in edge
+    order; the set of ``(source, target)`` pairs, for duplicate checks;
+    and the topological order once a query has computed it.
+    """
+
+    __slots__ = ("inputs", "outputs", "pairs", "order")
+
+    def __init__(self, nodes: Dict[str, Operation], edges: List[Edge]) -> None:
+        self.inputs: Dict[str, List[str]] = {name: [] for name in nodes}
+        self.outputs: Dict[str, List[str]] = {name: [] for name in nodes}
+        for edge in edges:
+            self.outputs[edge.source].append(edge.target)
+            self.inputs[edge.target].append(edge.source)
+        self.pairs = {(edge.source, edge.target) for edge in edges}
+        self.order: Optional[List[str]] = None
+
+    def add_node(self, name: str) -> None:
+        self.inputs[name] = []
+        self.outputs[name] = []
+        self.order = None
+
+    def link(self, source: str, target: str) -> None:
+        self.outputs[source].append(target)
+        self.inputs[target].append(source)
+        self.pairs.add((source, target))
+        self.order = None
+
+    def topological_order(self) -> List[str]:
+        """Kahn's algorithm: sources in node order first, then each
+        node's successors in edge order as their last input is placed.
+        Raises on cycles."""
+        if self.order is None:
+            in_degree = {name: len(sources) for name, sources in self.inputs.items()}
+            queue = deque(name for name, degree in in_degree.items() if degree == 0)
+            order: List[str] = []
+            while queue:
+                current = queue.popleft()
+                order.append(current)
+                for target in self.outputs[current]:
+                    in_degree[target] -= 1
+                    if in_degree[target] == 0:
+                        queue.append(target)
+            if len(order) != len(in_degree):
+                raise FlowValidationError(["flow contains a cycle"])
+            self.order = order
+        return self.order
+
+
 @dataclass
 class EtlFlow:
     """A DAG of ETL operations."""
@@ -38,6 +97,15 @@ class EtlFlow:
     _nodes: Dict[str, Operation] = field(default_factory=dict)
     _edges: List[Edge] = field(default_factory=list)
     requirements: Set[str] = field(default_factory=set)
+    _index: Optional[_Adjacency] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def _adjacency(self) -> _Adjacency:
+        """The adjacency index, rebuilt from ``_edges`` if it was dropped."""
+        if self._index is None:
+            self._index = _Adjacency(self._nodes, self._edges)
+        return self._index
 
     # -- construction ---------------------------------------------------------
 
@@ -48,6 +116,8 @@ class EtlFlow:
                 f"operation {operation.name!r} already in flow {self.name!r}"
             )
         self._nodes[operation.name] = operation
+        if self._index is not None:
+            self._index.add_node(operation.name)
         return operation
 
     def connect(self, source: str, target: str) -> Edge:
@@ -55,10 +125,12 @@ class EtlFlow:
         for endpoint in (source, target):
             if endpoint not in self._nodes:
                 raise UnknownOperationError(endpoint)
-        edge = Edge(source, target)
-        if any(e.source == source and e.target == target for e in self._edges):
+        index = self._adjacency()
+        if (source, target) in index.pairs:
             raise EtlError(f"duplicate edge {source!r} -> {target!r}")
+        edge = Edge(source, target)
         self._edges.append(edge)
+        index.link(source, target)
         return edge
 
     def disconnect(self, source: str, target: str) -> None:
@@ -66,8 +138,33 @@ class EtlFlow:
         for index, edge in enumerate(self._edges):
             if edge.source == source and edge.target == target:
                 del self._edges[index]
+                self._index = None
                 return
         raise EtlError(f"no edge {source!r} -> {target!r}")
+
+    def rewire(self, replacements: Dict[Tuple[str, str], Tuple[str, str]]) -> None:
+        """Re-point edges where they stand.
+
+        Each edge whose ``(source, target)`` is a key of ``replacements``
+        becomes the mapped edge at the same position in the edge list,
+        so the input-slot order of binary targets (join left/right) is
+        kept.  Raises, leaving the flow unchanged, when a new endpoint
+        is unknown or the result would hold a duplicate edge.
+        """
+        for pair in replacements.values():
+            for endpoint in pair:
+                if endpoint not in self._nodes:
+                    raise UnknownOperationError(endpoint)
+        rewired = [
+            Edge(*replacements[(edge.source, edge.target)])
+            if (edge.source, edge.target) in replacements
+            else edge
+            for edge in self._edges
+        ]
+        if len({(edge.source, edge.target) for edge in rewired}) != len(rewired):
+            raise EtlError("rewiring would duplicate an edge")
+        self._edges = rewired
+        self._index = None
 
     def chain(self, *operations: Operation) -> Operation:
         """Add operations and connect them linearly; returns the last."""
@@ -107,46 +204,43 @@ class EtlFlow:
 
     def inputs(self, name: str) -> List[str]:
         """Source names of incoming edges, in edge insertion order."""
-        self.node(name)
-        return [edge.source for edge in self._edges if edge.target == name]
+        try:
+            return list(self._adjacency().inputs[name])
+        except KeyError:
+            raise UnknownOperationError(name) from None
 
     def outputs(self, name: str) -> List[str]:
-        self.node(name)
-        return [edge.target for edge in self._edges if edge.source == name]
+        try:
+            return list(self._adjacency().outputs[name])
+        except KeyError:
+            raise UnknownOperationError(name) from None
 
     def sources(self) -> List[str]:
         """Nodes with no incoming edges (the datastores)."""
-        targets = {edge.target for edge in self._edges}
-        return [name for name in self._nodes if name not in targets]
+        inputs = self._adjacency().inputs
+        return [name for name in self._nodes if not inputs[name]]
 
     def sinks(self) -> List[str]:
         """Nodes with no outgoing edges (the loaders)."""
-        origins = {edge.source for edge in self._edges}
-        return [name for name in self._nodes if name not in origins]
+        outputs = self._adjacency().outputs
+        return [name for name in self._nodes if not outputs[name]]
 
     # -- traversal --------------------------------------------------------------
 
     def topological_order(self) -> List[str]:
         """Node names in topological order; raises on cycles."""
-        in_degree = {name: 0 for name in self._nodes}
-        for edge in self._edges:
-            in_degree[edge.target] += 1
-        queue = deque(
-            name for name in self._nodes if in_degree[name] == 0
-        )
-        order: List[str] = []
-        while queue:
-            current = queue.popleft()
-            order.append(current)
-            for edge in self._edges:
-                if edge.source != current:
-                    continue
-                in_degree[edge.target] -= 1
-                if in_degree[edge.target] == 0:
-                    queue.append(edge.target)
-        if len(order) != len(self._nodes):
-            raise FlowValidationError(["flow contains a cycle"])
-        return order
+        return list(self._adjacency().topological_order())
+
+    def topological_inputs(self) -> List[Tuple[Operation, Tuple[str, ...]]]:
+        """Each operation with its input names, in topological order.
+
+        One pass over the index for callers that walk the whole flow.
+        """
+        index = self._adjacency()
+        return [
+            (self._nodes[name], tuple(index.inputs[name]))
+            for name in index.topological_order()
+        ]
 
     def upstream(self, name: str) -> Set[str]:
         """All transitive predecessors of a node."""
@@ -196,31 +290,29 @@ class EtlFlow:
         """Remove a node, splicing unary through-paths.
 
         If the node has exactly one input and any outputs, the input is
-        reconnected to each output.  Other in/out shapes simply drop the
-        incident edges.
+        reconnected to each output.  Other in/out shapes, and a node whose
+        one input is itself, simply drop the incident edges.
         """
-        self.node(name)
         incoming = self.inputs(name)
-        if len(incoming) == 1:
+        if incoming != [name] and len(incoming) == 1:
             # Splice in place: each (name -> target) edge is replaced by
             # (input -> target) at the same position, so the input-slot
             # order of binary targets (join left/right) is preserved.
             source = incoming[0]
+            kept = {
+                (edge.source, edge.target)
+                for edge in self._edges
+                if name not in (edge.source, edge.target)
+            }
             spliced: List[Edge] = []
             for edge in self._edges:
                 if edge.target == name:
                     continue
                 if edge.source == name:
-                    duplicate = any(
-                        e.source == source and e.target == edge.target
-                        for e in self._edges
-                        if e.source != name and e.target != name
-                    ) or any(
-                        e.source == source and e.target == edge.target
-                        for e in spliced
-                    )
-                    if not duplicate:
-                        spliced.append(Edge(source, edge.target))
+                    pair = (source, edge.target)
+                    if pair not in kept:
+                        kept.add(pair)
+                        spliced.append(Edge(*pair))
                     continue
                 spliced.append(edge)
             self._edges = spliced
@@ -231,6 +323,7 @@ class EtlFlow:
                 if edge.source != name and edge.target != name
             ]
         del self._nodes[name]
+        self._index = None
 
     def replace_node(self, name: str, operation: Operation) -> None:
         """Swap the operation stored under ``name`` (same name required)."""
@@ -258,6 +351,7 @@ class EtlFlow:
         # is unchanged.
         self._edges[index] = Edge(operation.name, target)
         self._edges.append(Edge(source, operation.name))
+        self._index = None
 
     def swap_with_predecessor(self, name: str) -> None:
         """Swap a unary node with its unary predecessor (a -> b becomes
@@ -287,6 +381,7 @@ class EtlFlow:
             replacement.append(edge)
         replacement.append(Edge(name, predecessor))
         self._edges = replacement
+        self._index = None
 
     def copy(self, name: Optional[str] = None) -> "EtlFlow":
         """A structural copy (operations are immutable and shared)."""
@@ -317,16 +412,15 @@ class EtlFlow:
                 suffix += 1
             mapping[operation.name] = new_name
             self.add(operation.rename(new_name))
+        pairs = self._adjacency().pairs
         for edge in other.edges():
-            source = mapping[edge.source]
-            target = mapping[edge.target]
             if edge.target in at:
                 # The target already exists here with its own inputs.
                 continue
-            if not any(
-                e.source == source and e.target == target for e in self._edges
-            ):
-                self._edges.append(Edge(source, target))
+            source = mapping[edge.source]
+            target = mapping[edge.target]
+            if (source, target) not in pairs:
+                self.connect(source, target)
         self.requirements |= other.requirements
         return mapping
 

@@ -342,14 +342,13 @@ def _reorder_chain(
     }
     top_old, top_new = chain[-1], new_order[-1]
     joins = set(chain)
-    from repro.etlmodel.flow import Edge
-
-    edges = flow._edges
-    for index, edge in enumerate(edges):
-        if edge.target in joins and edge.source == old_left[edge.target]:
-            edges[index] = Edge(new_left[edge.target], edge.target)
-        elif edge.source == top_old and edge.target not in joins:
-            edges[index] = Edge(top_new, edge.target)
+    replacements = {
+        (old_left[join], join): (new_left[join], join) for join in chain
+    }
+    for consumer in flow.outputs(top_old):
+        if consumer not in joins:
+            replacements[(top_old, consumer)] = (top_new, consumer)
+    flow.rewire(replacements)
     decisions.append(
         "join-reorder: " + " -> ".join(new_order)
         + f" (was {' -> '.join(chain)})"
@@ -382,8 +381,6 @@ def _choose_build_sides(
     """Flip INNER joins whose build (right) side dwarfs the probe side."""
     estimates = estimate_flow(flow, catalog)
     flipped = 0
-    from repro.etlmodel.flow import Edge
-
     for name in flow.topological_order():
         operation = flow.node(name)
         if (
@@ -409,17 +406,9 @@ def _choose_build_sides(
             continue
         if _order_sensitive_downstream(flow, name) is not None:
             continue
-        # Swap the two incoming edge positions and the key tuples.
-        indices = [
-            index
-            for index, edge in enumerate(flow._edges)
-            if edge.target == name
-        ]
-        first, second = indices
-        flow._edges[first], flow._edges[second] = (
-            Edge(flow._edges[second].source, name),
-            Edge(flow._edges[first].source, name),
-        )
+        # Swap the sources of the two incoming edges and the key tuples.
+        left, right = inputs
+        flow.rewire({(left, name): (right, name), (right, name): (left, name)})
         flow.replace_node(
             name,
             Join(

@@ -19,12 +19,15 @@ from repro.repository.documents import DocumentStore
 
 
 def save(store: DocumentStore, path) -> None:
-    """Write the store atomically (write-then-rename).
+    """Write the store atomically and durably (write, fsync, rename).
 
     The in-memory view is captured via :meth:`DocumentStore.snapshot`,
     which holds every per-collection lock (in stable order) for the
     duration of the read — a save concurrent with writing sessions
-    persists a consistent point in time, never a torn one.
+    persists a consistent point in time, never a torn one.  The temp
+    file is fsynced before it replaces ``path`` and the directory after,
+    so a crash or power loss leaves the old file or the new one, never
+    an empty or partial one.
     """
     snapshot = store.snapshot()
     payload = {
@@ -37,11 +40,25 @@ def save(store: DocumentStore, path) -> None:
     try:
         with os.fdopen(handle, "w", encoding="utf-8") as file:
             json.dump(payload, file, indent=1, sort_keys=True)
+            file.flush()
+            os.fsync(file.fileno())
         os.replace(temp_path, path)
     except Exception:
         if os.path.exists(temp_path):
             os.unlink(temp_path)
         raise
+    _fsync_directory(directory)
+
+
+def _fsync_directory(directory: str) -> None:
+    """Persist the directory entry a rename changed (POSIX only)."""
+    if os.name != "posix":
+        return
+    descriptor = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
 
 
 def load(path) -> DocumentStore:

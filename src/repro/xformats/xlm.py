@@ -10,10 +10,11 @@ document parses back into exactly the same operation objects.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from functools import lru_cache
 from typing import Dict
 
 from repro.errors import XlmFormatError
-from repro.etlmodel.flow import EtlFlow
+from repro.etlmodel.flow import Edge, EtlFlow
 from repro.etlmodel.ops import (
     Aggregation,
     AggregationSpec,
@@ -43,8 +44,20 @@ _LIST_SEPARATOR = ","
 XLM_VERSION = "1.1"
 
 
+#: How many ``<edge>`` and how many ``<node>`` subtrees are kept.
+_SUBTREE_CACHE_SIZE = 4096
+
+
 def to_tree(flow: EtlFlow) -> dict:
-    """The flow's xLM tree, in the repository's JSON structure."""
+    """The flow's xLM tree, in the repository's JSON structure.
+
+    The ``<edge>`` and ``<node>`` subtrees come from bounded caches
+    keyed by the frozen :class:`Edge` and
+    :class:`~repro.etlmodel.ops.Operation`, so the trees of consecutive
+    checkpoints share the subtrees of the operations a fold step did
+    not change.  Stored trees are never mutated in place, which makes
+    the sharing safe.
+    """
     uses_scd = any(node.kind == "SCDUpdate" for node in flow.nodes())
     root = xmljson.root("design", **({"version": XLM_VERSION} if uses_scd else {}))
     metadata = xmljson.sub(root, "metadata")
@@ -54,23 +67,33 @@ def to_tree(flow: EtlFlow) -> dict:
         for requirement_id in sorted(flow.requirements):
             xmljson.sub(wrapper, "requirement", requirement_id)
     edges = xmljson.sub(root, "edges")
-    for edge in flow.edges():
-        element = xmljson.sub(edges, "edge")
-        xmljson.sub(element, "from", edge.source)
-        xmljson.sub(element, "to", edge.target)
-        xmljson.sub(element, "enabled", "Y" if edge.enabled else "N")
+    edges["children"] = [_edge_tree(edge) for edge in flow.edges()]
     nodes = xmljson.sub(root, "nodes")
-    for operation in flow.nodes():
-        element = xmljson.sub(nodes, "node")
-        xmljson.sub(element, "name", operation.name)
-        xmljson.sub(element, "type", operation.kind)
-        xmljson.sub(element, "optype", operation.optype)
-        properties = _operation_properties(operation)
-        if properties:
-            wrapper = xmljson.sub(element, "properties")
-            for key, value in properties.items():
-                xmljson.sub(wrapper, "property", value, name=key)
+    nodes["children"] = [_node_tree(operation) for operation in flow.nodes()]
     return root
+
+
+@lru_cache(maxsize=_SUBTREE_CACHE_SIZE)
+def _edge_tree(edge: Edge) -> dict:
+    element = xmljson.root("edge")
+    xmljson.sub(element, "from", edge.source)
+    xmljson.sub(element, "to", edge.target)
+    xmljson.sub(element, "enabled", "Y" if edge.enabled else "N")
+    return element
+
+
+@lru_cache(maxsize=_SUBTREE_CACHE_SIZE)
+def _node_tree(operation: Operation) -> dict:
+    element = xmljson.root("node")
+    xmljson.sub(element, "name", operation.name)
+    xmljson.sub(element, "type", operation.kind)
+    xmljson.sub(element, "optype", operation.optype)
+    properties = _operation_properties(operation)
+    if properties:
+        wrapper = xmljson.sub(element, "properties")
+        for key, value in properties.items():
+            xmljson.sub(wrapper, "property", value, name=key)
+    return element
 
 
 def dumps(flow: EtlFlow) -> str:

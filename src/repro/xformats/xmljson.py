@@ -83,7 +83,8 @@ def _attributes(attributes: dict) -> dict:
 
 
 def root(tag: str, **attributes) -> dict:
-    """The root element of a writer's tree."""
+    """A detached element: the root of a writer's tree, or a subtree
+    the writer appends to more than one tree."""
     return {"tag": tag, "attributes": _attributes(attributes), "text": None, "children": []}
 
 

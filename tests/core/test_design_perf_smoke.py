@@ -9,6 +9,8 @@ correct.
 """
 
 from repro import Quarry
+from repro.etlmodel.cost import CostModel
+from repro.repository.metadata import decode_design
 from repro.sources import tpch
 
 from benchmarks._workloads import ROW_COUNTS, requirement_corpus
@@ -45,3 +47,60 @@ class TestCounterHook:
         quarry.add_requirement(corpus[4])
         assert quarry.integration_counts["md"] - before["md"] == 1
         assert quarry.integration_counts["etl"] - before["etl"] == 1
+
+
+def corpus_session(count):
+    quarry = Quarry(
+        tpch.ontology(), tpch.schema(), tpch.mappings(), row_counts=ROW_COUNTS
+    )
+    for requirement in requirement_corpus(count):
+        quarry.add_requirement(requirement)
+    return quarry
+
+
+def node_subtrees(repository, position):
+    """Each checkpoint operation with its ``<node>`` subtree."""
+    xmd_tree, xlm_tree = repository.checkpoint_trees(position)
+    __, flow = decode_design(xmd_tree, xlm_tree)
+    (nodes,) = [
+        child for child in xlm_tree["children"] if child["tag"] == "nodes"
+    ]
+    return dict(zip(flow.nodes(), nodes["children"]))
+
+
+class TestFoldStepCost:
+    """A fold step pays for what the partial adds, counted, not timed."""
+
+    def test_refold_step_prices_only_the_new_flow_and_the_partial(
+        self, monkeypatch
+    ):
+        quarry = corpus_session(12)
+        calls = []
+        estimate = CostModel.estimate
+
+        def counting(model, flow, row_counts=None):
+            calls.append(flow.name)
+            return estimate(model, flow, row_counts)
+
+        monkeypatch.setattr(CostModel, "estimate", counting)
+        report = quarry.rename_concept("Customer", "Client123")
+        steps = len(quarry.requirements()) - report.refolded_from
+        assert steps == 7
+        # The unified flow's cost comes from the checkpoint the step
+        # starts from, not from pricing it again.
+        assert len(calls) == 2 * steps
+
+    def test_consecutive_checkpoints_share_unchanged_node_subtrees(self):
+        quarry = corpus_session(12)
+        quarry.rename_concept("Customer", "Client123")
+        repository = quarry.session.repository
+        shared = 0
+        before = node_subtrees(repository, 0)
+        for position in range(1, repository.checkpoint_count()):
+            after = node_subtrees(repository, position)
+            for operation, subtree in after.items():
+                if operation in before:
+                    assert subtree is before[operation], operation
+                    shared += 1
+            before = after
+        assert shared > 0

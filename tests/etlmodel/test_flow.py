@@ -1,15 +1,34 @@
 """Unit tests for the ETL flow DAG."""
 
-import pytest
+from collections import deque
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro.engine import Database, TableDef
+from repro.engine.stats import StatisticsCatalog
 from repro.errors import EtlError, FlowValidationError, UnknownOperationError
 from repro.etlmodel import (
+    Aggregation,
+    AggregationSpec,
     Datastore,
     EtlFlow,
     Extraction,
     Join,
     Loader,
     Selection,
+)
+from repro.expressions import ScalarType
+from repro.planner import plan_flow
+
+from tests.planner.test_rewrite import (
+    chain_database,
+    chain_flow,
+    fact_dim_database,
+    join_then_filter_flow,
+    skewed_join_database,
+    skewed_join_flow,
 )
 
 
@@ -124,6 +143,27 @@ class TestSurgery:
         flow.remove_node("src")
         assert flow.inputs("filter") == []
 
+    def test_remove_node_does_not_duplicate_a_spliced_edge(self):
+        flow = EtlFlow("f")
+        for name in ("s", "m", "t"):
+            flow.add(Selection(name))
+        flow.connect("s", "m")
+        flow.connect("m", "t")
+        flow.connect("s", "t")
+        flow.remove_node("m")
+        assert [(edge.source, edge.target) for edge in flow.edges()] == [("s", "t")]
+        assert flow.inputs("t") == ["s"]
+
+    def test_remove_node_whose_only_input_is_itself_drops_its_edges(self):
+        flow = EtlFlow("f")
+        flow.add(Selection("a"))
+        flow.add(Selection("b"))
+        flow.connect("a", "a")
+        flow.connect("a", "b")
+        flow.remove_node("a")
+        assert flow.edges() == []
+        assert flow.inputs("b") == []
+
     def test_replace_node_keeps_name(self):
         flow = linear_flow()
         flow.replace_node("filter", Selection("filter", predicate="b = 2"))
@@ -230,3 +270,243 @@ class TestValidation:
         flow.add(Selection("s"))
         with pytest.raises(FlowValidationError):
             flow.check()
+
+
+# -- the adjacency index against the edge list --------------------------------
+#
+# The reference answers below scan ``edges()`` the way the flow did before
+# it kept an adjacency index.
+
+
+def reference_inputs(flow, name):
+    return [edge.source for edge in flow.edges() if edge.target == name]
+
+
+def reference_outputs(flow, name):
+    return [edge.target for edge in flow.edges() if edge.source == name]
+
+
+def reference_closure(flow, name, step):
+    result = set()
+    frontier = deque(step(flow, name))
+    while frontier:
+        current = frontier.popleft()
+        if current in result:
+            continue
+        result.add(current)
+        frontier.extend(step(flow, current))
+    return result
+
+
+def reference_topological_order(flow):
+    edges = flow.edges()
+    in_degree = {name: 0 for name in flow.node_names()}
+    for edge in edges:
+        in_degree[edge.target] += 1
+    queue = deque(name for name in flow.node_names() if in_degree[name] == 0)
+    order = []
+    while queue:
+        current = queue.popleft()
+        order.append(current)
+        for edge in edges:
+            if edge.source != current:
+                continue
+            in_degree[edge.target] -= 1
+            if in_degree[edge.target] == 0:
+                queue.append(edge.target)
+    if len(order) != len(flow):
+        raise FlowValidationError(["flow contains a cycle"])
+    return order
+
+
+def assert_index_matches_edges(flow):
+    targets = {edge.target for edge in flow.edges()}
+    origins = {edge.source for edge in flow.edges()}
+    names = flow.node_names()
+    assert flow.sources() == [name for name in names if name not in targets]
+    assert flow.sinks() == [name for name in names if name not in origins]
+    for name in names:
+        assert flow.inputs(name) == reference_inputs(flow, name)
+        assert flow.outputs(name) == reference_outputs(flow, name)
+        assert flow.upstream(name) == reference_closure(
+            flow, name, reference_inputs
+        )
+        assert flow.downstream(name) == reference_closure(
+            flow, name, reference_outputs
+        )
+    try:
+        expected = reference_topological_order(flow)
+    except FlowValidationError as error:
+        with pytest.raises(FlowValidationError) as raised:
+            flow.topological_order()
+        assert raised.value.violations == error.violations
+        return
+    assert flow.topological_order() == expected
+    assert [
+        (operation.name, sources)
+        for operation, sources in flow.topological_inputs()
+    ] == [(name, tuple(reference_inputs(flow, name))) for name in expected]
+
+
+MUTATORS = (
+    "add",
+    "connect",
+    "disconnect",
+    "chain",
+    "remove_node",
+    "insert_between",
+    "swap_with_predecessor",
+    "graft",
+    "copy",
+    "rewire",
+)
+
+steps = st.lists(
+    st.tuples(
+        st.sampled_from(MUTATORS),
+        st.integers(min_value=0, max_value=63),
+        st.integers(min_value=0, max_value=63),
+    ),
+    max_size=40,
+)
+
+
+def apply_step(flow, step, fresh):
+    """Apply one mutator to ``flow``; returns the flow to continue with."""
+    mutator, first, second = step
+    names = flow.node_names()
+    edges = flow.edges()
+
+    def node(index):
+        return names[index % len(names)] if names else "missing"
+
+    def edge(index):
+        picked = edges[index % len(edges)]
+        return picked.source, picked.target
+
+    if mutator == "add":
+        flow.add(Selection(f"n{next(fresh)}"))
+    elif mutator == "connect":
+        flow.connect(node(first), node(second))
+    elif mutator == "disconnect" and edges:
+        flow.disconnect(*edge(first))
+    elif mutator == "chain":
+        # Reuses an existing node as the head, as the generator does.
+        head = flow.node(node(first)) if names else Selection(f"n{next(fresh)}")
+        flow.chain(head, Selection(f"n{next(fresh)}"), Selection(f"n{next(fresh)}"))
+    elif mutator == "remove_node":
+        flow.remove_node(node(first))
+    elif mutator == "insert_between" and edges:
+        flow.insert_between(*edge(first), Selection(f"n{next(fresh)}"))
+    elif mutator == "swap_with_predecessor":
+        flow.swap_with_predecessor(node(first))
+    elif mutator == "graft":
+        # Names that may collide with this flow's, and one unified node.
+        other = EtlFlow("other", requirements={"IR9"})
+        other.chain(*(Selection(f"n{(first + offset) % 8}") for offset in range(3)))
+        at = {other.node_names()[0]: node(second)} if names else {}
+        flow.graft(other, at=at)
+    elif mutator == "copy":
+        clone = flow.copy()
+        assert_index_matches_edges(flow)
+        return clone
+    elif mutator == "rewire" and edges:
+        before = flow.edges()
+        source, target = edge(first)
+        try:
+            flow.rewire({(source, target): (node(second), target)})
+        except EtlError:
+            assert flow.edges() == before
+            raise
+    return flow
+
+
+def wide_database():
+    database = Database()
+    database.create_table(TableDef("wide", {column: ScalarType.INTEGER for column in "abcd"}))
+    database.insert_many("wide", [{column: row for column in "abcd"} for row in range(10)])
+    return database
+
+
+def two_rollups_flow():
+    """One scan feeding two roll-ups that each read two of its four
+    columns: projection pushdown narrows both branches."""
+    flow = EtlFlow("two_rollups")
+    flow.add(Datastore("src", table="wide"))
+    for group, measure in (("a", "b"), ("c", "d")):
+        flow.chain(
+            flow.node("src"),
+            Aggregation(
+                f"agg_{group}",
+                group_by=(group,),
+                aggregates=(AggregationSpec(f"sum_{measure}", "SUM", measure),),
+            ),
+            Loader(f"load_{group}", table=f"out_{group}", mode="replace"),
+        )
+    return flow
+
+
+class TestAdjacencyIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(steps)
+    def test_random_surgery_keeps_index_equal_to_edge_list(self, sequence):
+        flow = EtlFlow("random")
+        fresh = iter(range(10_000))
+        for step in sequence:
+            try:
+                flow = apply_step(flow, step, fresh)
+            except EtlError:
+                pass  # refused surgery must leave a consistent flow too
+            assert_index_matches_edges(flow)
+
+    def test_queries_between_mutations_see_each_change(self):
+        flow = linear_flow()
+        assert flow.sinks() == ["load"]
+        flow.add(Loader("load2", table="out2"))
+        assert flow.sinks() == ["load", "load2"]
+        flow.connect("extract", "load2")
+        assert flow.outputs("extract") == ["load", "load2"]
+        flow.disconnect("extract", "load")
+        assert flow.outputs("extract") == ["load2"]
+        assert flow.sources() == ["src", "load"]
+        assert_index_matches_edges(flow)
+
+    def test_rewire_keeps_edge_positions(self, revenue_flow):
+        left, right = revenue_flow.inputs("JOIN_lineitem_orders")
+        revenue_flow.rewire(
+            {
+                (left, "JOIN_lineitem_orders"): (right, "JOIN_lineitem_orders"),
+                (right, "JOIN_lineitem_orders"): (left, "JOIN_lineitem_orders"),
+            }
+        )
+        assert revenue_flow.inputs("JOIN_lineitem_orders") == [right, left]
+        assert_index_matches_edges(revenue_flow)
+
+    def test_rewire_refuses_duplicates_and_unknown_nodes(self):
+        flow = linear_flow()
+        before = flow.edges()
+        with pytest.raises(EtlError):
+            flow.rewire({("filter", "extract"): ("src", "filter")})
+        with pytest.raises(UnknownOperationError):
+            flow.rewire({("filter", "extract"): ("ghost", "extract")})
+        assert flow.edges() == before
+        assert_index_matches_edges(flow)
+
+    @pytest.mark.parametrize(
+        "build, database, decision",
+        [
+            (join_then_filter_flow, fact_dim_database, "selection-pushdown"),
+            (two_rollups_flow, wide_database, "projection-pushdown"),
+            (chain_flow, chain_database, "join-reorder"),
+            (skewed_join_flow, skewed_join_database, "build-side"),
+        ],
+    )
+    def test_planner_rewrites_keep_index_equal_to_edge_list(
+        self, build, database, decision
+    ):
+        flow = build()
+        assert_index_matches_edges(flow)  # builds the index before planning
+        plan = plan_flow(flow, StatisticsCatalog(database()))
+        assert any(entry.startswith(decision) for entry in plan.decisions)
+        assert_index_matches_edges(plan.flow)
+        assert_index_matches_edges(flow)
