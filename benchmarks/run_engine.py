@@ -11,7 +11,9 @@ equivalence, and serial columnar execution against the chunk-partitioned
 ``parallel`` mode on a scan-heavy revenue workload — sweeping worker
 counts over the thread pool — gated on **exact** row-multiset
 equivalence (the parallel engine promises byte-identical results, so no
-quantisation is tolerated).
+quantisation is tolerated).  An ingest section times the database's
+write path: ``load_source`` of every TPC-H source and a ``lineitem``
+reload, in rows/s as median and IQR over the rounds.
 
 The runner is also the equivalence gate for the compiled columnar
 engine: after every workload it compares the loaded warehouse tables of
@@ -31,6 +33,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
+import statistics
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -54,6 +59,7 @@ from repro.etlmodel.ops import (
 )
 from repro.expressions import ScalarType
 from repro.fuzz.planoracle import quantized_multiset
+from repro.sources import tpch
 
 from benchmarks.bench_a1_equivalence import (
     consolidate_pairwise,
@@ -404,6 +410,103 @@ def run_parallel_comparison(mismatches):
     }
 
 
+def rows_per_second(rows, seconds):
+    """Median and quartiles of ``rows / s`` over the rounds' seconds."""
+    rates = [rows / elapsed for elapsed in seconds]
+    if len(rates) > 1:
+        q1, __, q3 = statistics.quantiles(rates, n=4)
+    else:
+        q1 = q3 = rates[0]
+    return {"median": statistics.median(rates), "q1": q1, "q3": q3}
+
+
+def check_loaded(label, database, data, mismatches):
+    """Gate: every table holds its generated rows, in generated order."""
+    for table, rows in data.items():
+        if database.scan(table).rows != rows:
+            mismatches.append(f"{label}: table {table!r} differs from the data")
+
+
+def run_ingest(mismatches):
+    """Rows/s of the database's validated write path.
+
+    ``load_source`` of every TPC-H source at each scale factor, into a
+    new database per round, and a ``lineitem`` reload (``truncate``
+    plus ``insert_many``) at the largest scale factor.
+    """
+    schema = tpch.schema()
+    load_source = {}
+    for scale_factor in SCALE_FACTORS:
+        data = tpch.generate(scale_factor)
+        rows = sum(len(table_rows) for table_rows in data.values())
+        seconds = []
+        for __ in range(ROUNDS):
+            database = Database()
+            started = time.perf_counter()
+            database.load_source(schema, data)
+            seconds.append(time.perf_counter() - started)
+        check_loaded(f"ingest SF {scale_factor}", database, data, mismatches)
+        load_source[str(scale_factor)] = {
+            "rows": rows,
+            "rows_per_s": rows_per_second(rows, seconds),
+        }
+        print(
+            f"  SF {scale_factor:<5} load_source   {rows:7d} rows  "
+            f"{load_source[str(scale_factor)]['rows_per_s']['median']:10.0f} rows/s"
+        )
+
+    largest = max(SCALE_FACTORS)
+    data = tpch.generate(largest)
+    database = Database()
+    database.load_source(schema, data)
+    lineitem = data["lineitem"]
+    seconds = []
+    for __ in range(ROUNDS):
+        started = time.perf_counter()
+        database.truncate("lineitem")
+        database.insert_many("lineitem", lineitem)
+        seconds.append(time.perf_counter() - started)
+    check_loaded("ingest lineitem reload", database, data, mismatches)
+    reload = {
+        "scale_factor": largest,
+        "rows": len(lineitem),
+        "rows_per_s": rows_per_second(len(lineitem), seconds),
+    }
+    print(
+        f"  SF {largest:<5} lineitem reload {len(lineitem):5d} rows  "
+        f"{reload['rows_per_s']['median']:10.0f} rows/s"
+    )
+    return {
+        "timing": "rows/s, median and quartiles over rounds",
+        "rounds": ROUNDS,
+        "load_source": load_source,
+        "lineitem_reload": reload,
+        "results_identical": not any(
+            m.startswith("ingest") for m in mismatches
+        ),
+    }
+
+
+def host_facts():
+    """Cores, Python version and the checked-out git commit (``-dirty``
+    when the working tree has uncommitted changes)."""
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = "unknown"
+    return {
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "git": commit,
+    }
+
+
 def a1_database():
     database = Database()
     database.create_table(
@@ -467,9 +570,12 @@ def main(argv=None) -> int:
     print("parallel benchmark: serial columnar vs chunk-partitioned")
     parallel = run_parallel_comparison(mismatches)
     a1 = run_a1_equivalence(mismatches)
+    print("ingest benchmark: the database's validated write path")
+    ingest = run_ingest(mismatches)
 
     largest = str(max(SCALE_FACTORS))
     report = {
+        "host": host_facts(),
         "benchmark": "engine-core: legacy row interpreter vs compiled columnar",
         "modes": list(MODES),
         "rounds": ROUNDS,
@@ -478,6 +584,7 @@ def main(argv=None) -> int:
         "planner_comparison": planner,
         "parallel_comparison": parallel,
         "a1_equivalence": a1,
+        "ingest": ingest,
         "largest_scale_factor": largest,
         "speedup_at_largest_scale_factor": {
             name: by_scale_factor[largest][name]["speedup"]

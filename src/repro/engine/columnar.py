@@ -12,12 +12,14 @@ of one dict per row.  That buys the executor:
 * cheap evaluation of compiled expressions with
   ``map(column_fn, *columns)`` — no per-row dict in the hot path.
 
-The row-dict world is still the interface of ``database.py``,
+The database stores each table as a ``ColumnarRelation`` snapshot.
+The row-dict world is still the interface of ``Database.scan``,
 ``sqlexec.py``, ``olap.py`` and the deployers, so the class carries
 adapters both ways: :meth:`from_relation` / :meth:`from_rows` to enter,
-and a cached ``.rows`` property, ``__iter__`` and :meth:`to_relation`
-to leave.  Any code that handled a :class:`repro.engine.relation.Relation`
-result keeps working against a columnar one.
+and a cached ``.rows`` property, ``__iter__`` and an uncached
+:meth:`to_relation` to leave.  Any code that handled a
+:class:`repro.engine.relation.Relation` result keeps working against a
+columnar one.
 
 Semantics mirror the row implementations exactly (NULL-key behaviour in
 joins, first-occurrence order in ``distinct``, NULLs-first sorting,
@@ -107,20 +109,22 @@ class ColumnarRelation:
     def rows(self) -> List[dict]:
         """Rows as dicts (materialised once, then cached)."""
         if self._row_cache is None:
-            names = list(self.schema)
-            columns = [self.columns[name] for name in names]
-            if columns:
-                self._row_cache = [
-                    dict(zip(names, values)) for values in zip(*columns)
-                ]
-            else:
-                self._row_cache = [{} for _ in range(self.length)]
+            self._row_cache = self._row_dicts()
         return self._row_cache
 
     def to_relation(self):
+        """A row :class:`~repro.engine.relation.Relation` of new dicts,
+        built on each call and never cached on this relation."""
         from repro.engine.relation import Relation
 
-        return Relation(schema=dict(self.schema), rows=list(self.rows))
+        return Relation(schema=dict(self.schema), rows=self._row_dicts())
+
+    def _row_dicts(self) -> List[dict]:
+        names = list(self.schema)
+        columns = [self.columns[name] for name in names]
+        if columns:
+            return [dict(zip(names, values)) for values in zip(*columns)]
+        return [{} for _ in range(self.length)]
 
     def __len__(self) -> int:
         return self.length

@@ -4,30 +4,40 @@ Holds named tables with typed schemas, primary keys and foreign keys,
 enforcing integrity on insert.  The Design Deployer creates warehouse
 tables here, the ETL executor reads sources from and loads facts into
 it, and the OLAP helper queries it.
+
+Each table is stored as one immutable :class:`ColumnarRelation`
+snapshot.  Every write (:meth:`Database.insert`, ``insert_many``,
+``insert_columns`` and ``load_source``) goes through one validator that
+checks the whole batch column by column and then publishes a new
+snapshot; no published column list is ever mutated.  When a check
+fails, the rows before the first failing row are stored and that row's
+own error is raised, so the error text and the table left behind are
+what inserting the rows one at a time would give.
 """
 
 from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import EngineError, IntegrityError, UnknownTableError
 from repro.engine.columnar import ColumnarRelation
-from repro.engine.relation import Relation
-from repro.locks import new_lock
-from repro.expressions.types import ScalarType, type_of_value
+from repro.engine.relation import Relation, check_row, conforms
+from repro.expressions.types import ScalarType
 
-#: Exact Python types that satisfy each scalar type without further
-#: checks; values outside these fall back to :func:`type_of_value`
-#: (``bool`` is deliberately not an ``int`` here, ``datetime`` still
-#: satisfies DATE via the fallback).
-_FAST_TYPES: Dict[ScalarType, tuple] = {
-    ScalarType.INTEGER: (int,),
-    ScalarType.DECIMAL: (float, int),
-    ScalarType.STRING: (str,),
-    ScalarType.BOOLEAN: (bool,),
-    ScalarType.DATE: (datetime.date,),
+_NULL = type(None)
+
+#: Exact Python types that satisfy each scalar type (NULL included)
+#: without further checks; values of any other type fall back to
+#: :func:`~repro.engine.relation.conforms` (``bool`` is deliberately not
+#: an ``int`` here, ``datetime`` still satisfies DATE via the fallback).
+_FAST_TYPES: Dict[ScalarType, frozenset] = {
+    ScalarType.INTEGER: frozenset((int, _NULL)),
+    ScalarType.DECIMAL: frozenset((float, int, _NULL)),
+    ScalarType.STRING: frozenset((str, _NULL)),
+    ScalarType.BOOLEAN: frozenset((bool, _NULL)),
+    ScalarType.DATE: frozenset((datetime.date, _NULL)),
 }
 
 
@@ -65,29 +75,26 @@ class TableDef:
 
 
 class _Table:
-    """Internal table state: definition + relation + PK index."""
+    """Internal table state: definition + column snapshot + PK index."""
 
     def __init__(self, definition: TableDef) -> None:
         self.definition = definition
-        self.relation = Relation(schema=dict(definition.columns))
+        #: The stored rows.  A write replaces the snapshot with a new
+        #: one built from new column lists, so a snapshot handed out by
+        #: ``scan_columns`` never changes under its reader.
+        self.snapshot = _empty_snapshot(definition)
         self._pk_index: set = set()
-        #: Cached columnar view of the relation; dropped on any write.
-        #: Writers invalidate without the lock (the write paths are
-        #: caller-serialised, as for ``scan``), hence ``[writes]`` only
-        #: covers the pivot's publication, not the invalidation.
-        self._columnar: Optional[ColumnarRelation] = None  # guarded-by: _Table._columnar_lock [writes]
-        #: Guards the lazy columnar pivot: two concurrent readers must
-        #: agree on one cached view instead of both pivoting (or one
-        #: observing the other's half-built pivot).
-        self._columnar_lock = new_lock("_Table._columnar_lock")
         #: Bumped on every write; statistics caches key on it, so stale
         #: table stats are detected without comparing contents.
         self.generation: int = 0
 
-    def primary_key_of(self, row: dict) -> Optional[tuple]:
-        if not self.definition.primary_key:
-            return None
-        return tuple(row[column] for column in self.definition.primary_key)
+
+def _empty_snapshot(definition: TableDef) -> ColumnarRelation:
+    return ColumnarRelation(
+        dict(definition.columns),
+        {name: [] for name in definition.columns},
+        length=0,
+    )
 
 
 class Database:
@@ -141,144 +148,173 @@ class Database:
     # -- DML ------------------------------------------------------------------
 
     def insert(self, table_name: str, row: dict) -> None:
-        """Insert one row, enforcing PK uniqueness, NOT NULL keys and FKs."""
+        """Insert one row, enforcing PK uniqueness, NOT NULL keys and FKs.
+
+        A one-row batch: it copies the table's columns, so load many
+        rows with :meth:`insert_many`.
+        """
+        self.insert_many(table_name, [row])
+
+    def insert_many(self, table_name: str, rows) -> int:
+        """Insert rows as one batch; returns the number inserted.
+
+        On a failing row, the rows before it stay stored and its error
+        is raised, as inserting the rows one by one would.
+        """
         table = self._lookup(table_name)
-        table.relation.check_row(row)
-        key = table.primary_key_of(row)
-        if key is not None:
+        rows = list(rows)
+        columns, length = _pivot(rows, table.definition.columns)
+        stored = self._write(table, columns, length)
+        if stored < len(rows):
+            self._reject(table, rows[stored])
+        return stored
+
+    def insert_columns(
+        self, table_name: str, columns: Dict[str, list], length: int
+    ) -> int:
+        """Insert ``length`` rows given as column arrays; returns ``length``.
+
+        The loaders' path: no row dicts are built.  Every column must
+        hold exactly ``length`` values; they are copied, never stored by
+        reference.  Errors and the rows left stored are those of
+        :meth:`insert_many` over the same rows.
+        """
+        table = self._lookup(table_name)
+        for name, values in columns.items():
+            if len(values) != length:
+                raise EngineError(
+                    f"{table_name!r}: column {name!r} holds {len(values)} "
+                    f"values, expected {length}"
+                )
+
+        def row_at(index: int) -> dict:
+            return {name: values[index] for name, values in columns.items()}
+
+        schema = table.definition.columns
+        if columns.keys() != schema.keys():
+            # Every row has the wrong attributes, so the first one fails.
+            self._reject(table, row_at(0) if length else dict.fromkeys(columns))
+        stored = self._write(
+            table, {name: list(columns[name]) for name in schema}, length
+        )
+        if stored < length:
+            self._reject(table, row_at(stored))
+        return stored
+
+    def truncate(self, table_name: str) -> None:
+        table = self._lookup(table_name)
+        table.snapshot = _empty_snapshot(table.definition)
+        table._pk_index = set()
+        table.generation += 1
+
+    def _write(
+        self, table: _Table, columns: Dict[str, list], length: int
+    ) -> int:
+        """The one write path: validate a batch, store its valid prefix.
+
+        ``columns`` maps every schema attribute to a list of ``length``
+        values that this call may keep.  Each check runs over whole
+        columns; the rows before the first row that fails any of them
+        are published as a new snapshot.  Returns how many were stored.
+        """
+        definition = table.definition
+        valid = length
+        for name, expected in definition.columns.items():
+            valid = min(valid, _first_mistyped(columns[name], expected))
+        if valid < length:
+            # Keep the key checks off values outside the type system.
+            columns = {name: values[:valid] for name, values in columns.items()}
+        keys = None
+        if definition.primary_key:
+            key_columns = [columns[name] for name in definition.primary_key]
+            keys = list(zip(*key_columns))
+            valid = min(valid, _first_bad_key(key_columns, keys, table._pk_index))
+        for foreign_key in definition.foreign_keys:
+            target = self._lookup(foreign_key.target_table)
+            fk_columns = [columns[name] for name in foreign_key.columns]
+            valid = min(
+                valid, _first_unmatched(fk_columns, valid, target._pk_index)
+            )
+        if valid:
+            stored = table.snapshot
+            table.snapshot = ColumnarRelation(
+                stored.schema,
+                {
+                    name: _joined(stored.columns[name], columns[name], valid)
+                    for name in stored.schema
+                },
+                length=stored.length + valid,
+            )
+            if keys is not None:
+                table._pk_index.update(keys[:valid])
+            table.generation += 1
+        return valid
+
+    def _reject(self, table: _Table, row) -> None:
+        """Raise the error of a batch's first failing row.
+
+        The per-row checks, in their per-row order, against the table
+        as it stands after the batch's valid prefix was stored.
+        """
+        definition = table.definition
+        check_row(definition.columns, row)
+        if definition.primary_key:
+            key = tuple(row[column] for column in definition.primary_key)
             if any(part is None for part in key):
                 raise IntegrityError(
-                    f"{table_name!r}: NULL in primary key {key}"
+                    f"{definition.name!r}: NULL in primary key {key}"
                 )
             if key in table._pk_index:
                 raise IntegrityError(
-                    f"{table_name!r}: duplicate primary key {key}"
+                    f"{definition.name!r}: duplicate primary key {key}"
                 )
-        for foreign_key in table.definition.foreign_keys:
+        for foreign_key in definition.foreign_keys:
             values = tuple(row[column] for column in foreign_key.columns)
             if any(value is None for value in values):
                 continue  # NULL FK is permitted (no reference)
             target = self._lookup(foreign_key.target_table)
             if values not in target._pk_index:
                 raise IntegrityError(
-                    f"{table_name!r}: foreign key {values} has no match in "
-                    f"{foreign_key.target_table!r}"
+                    f"{definition.name!r}: foreign key {values} has no "
+                    f"match in {foreign_key.target_table!r}"
                 )
-        table.relation.rows.append(row)
-        table._columnar = None
-        table.generation += 1
-        if key is not None:
-            table._pk_index.add(key)
-
-    def insert_many(self, table_name: str, rows) -> int:
-        """Insert rows one by one; returns the number inserted."""
-        count = 0
-        for row in rows:
-            self.insert(table_name, row)
-            count += 1
-        return count
-
-    def insert_columns(
-        self, table_name: str, columns: Dict[str, list], length: int
-    ) -> int:
-        """Bulk-insert column arrays, validating each column in one pass.
-
-        The fast path for loaders: tables without keys (the warehouse
-        targets the executor creates) skip per-row dict bookkeeping —
-        types are checked column-wise and rows appended in bulk.  Tables
-        with a primary or foreign key fall back to :meth:`insert_many`
-        so integrity enforcement is unchanged.
-        """
-        table = self._lookup(table_name)
-        schema = table.relation.schema
-        extra = set(columns) - set(schema)
-        if extra:
-            raise EngineError(f"row has unknown attributes {sorted(extra)}")
-        for name in schema:
-            if name not in columns:
-                raise EngineError(f"row is missing attribute {name!r}")
-        names = list(schema)
-        ordered = [columns[name] for name in names]
-        if table.definition.primary_key or table.definition.foreign_keys:
-            # Integrity-enforced tables go row by row, unchanged.
-            rows = (
-                [dict(zip(names, values)) for values in zip(*ordered)]
-                if ordered
-                else [{} for _ in range(length)]
-            )
-            return self.insert_many(table_name, rows)
-        for name, expected in schema.items():
-            fast = _FAST_TYPES[expected]
-            for value in columns[name]:
-                if value is None or type(value) in fast:
-                    continue
-                actual = type_of_value(value)
-                if actual is expected:
-                    continue
-                if (
-                    expected is ScalarType.DECIMAL
-                    and actual is ScalarType.INTEGER
-                ):
-                    continue
-                raise EngineError(
-                    f"attribute {name!r}: expected {expected}, got {actual} "
-                    f"({value!r})"
-                )
-        if ordered:
-            table.relation.rows.extend(
-                dict(zip(names, values)) for values in zip(*ordered)
-            )
-        else:
-            table.relation.rows.extend({} for _ in range(length))
-        table._columnar = None
-        table.generation += 1
-        return length
-
-    def truncate(self, table_name: str) -> None:
-        table = self._lookup(table_name)
-        table.relation.rows.clear()
-        table._pk_index.clear()
-        table._columnar = None
-        table.generation += 1
+        raise EngineError(
+            f"{definition.name!r}: row {row!r} failed the batch checks "
+            f"but passes the row checks"
+        )
 
     # -- queries ------------------------------------------------------------------
 
     def scan(self, table_name: str) -> Relation:
-        """The table's relation (shared — treat as read-only)."""
-        return self._lookup(table_name).relation
+        """The table's rows as a new :class:`Relation` of row dicts.
+
+        Built from the stored columns on each call and not cached, so
+        the caller owns the result; column readers use
+        :meth:`scan_columns`.
+        """
+        return self._lookup(table_name).snapshot.to_relation()
 
     def scan_columns(self, table_name: str) -> ColumnarRelation:
-        """A columnar view of the table (cached; shared — read-only).
+        """The table's stored column snapshot (shared — read-only).
 
-        The cache is dropped by every write path (:meth:`insert`,
-        :meth:`insert_columns`, :meth:`truncate`), so repeated flow
-        executions over the same sources pay the row-to-column pivot
-        once.
-
-        Thread-safe: the pivot runs under a per-table lock with a
-        double-check, so a pool of workers scanning the same table gets
-        one shared view and exactly one pivot (writers concurrent with
-        readers remain the caller's problem, as for :meth:`scan`).
+        No pivot and no lock: the same object is returned until the
+        next write publishes another, so a reader keeps a consistent
+        view while a writer replaces it (writers are
+        caller-serialised).
         """
-        table = self._lookup(table_name)
-        columnar = table._columnar
-        if columnar is None:
-            with table._columnar_lock:
-                columnar = table._columnar
-                if columnar is None:
-                    columnar = ColumnarRelation.from_relation(table.relation)
-                    table._columnar = columnar
-        return columnar
+        return self._lookup(table_name).snapshot
 
     def row_count(self, table_name: str) -> int:
-        return len(self._lookup(table_name).relation)
+        return self._lookup(table_name).snapshot.length
 
     def table_generation(self, table_name: str) -> int:
         """The table's write generation (see :class:`_Table`)."""
         return self._lookup(table_name).generation
 
     def row_counts(self) -> Dict[str, int]:
-        return {name: len(table.relation) for name, table in self._tables.items()}
+        return {
+            name: table.snapshot.length for name, table in self._tables.items()
+        }
 
     # -- bulk loading ---------------------------------------------------------------
 
@@ -341,3 +377,78 @@ class Database:
             return self._tables[name]
         except KeyError:
             raise UnknownTableError(name) from None
+
+
+# -- the batch checks ------------------------------------------------------
+
+
+def _pivot(rows: list, schema: Dict[str, ScalarType]) -> Tuple[Dict[str, list], int]:
+    """Columns of the longest prefix of ``rows`` whose attribute sets
+    equal the schema's, and that prefix's length."""
+    if set(map(len, rows)) <= {len(schema)}:
+        try:
+            return {name: [row[name] for row in rows] for name in schema}, len(rows)
+        except KeyError:
+            pass
+    names = schema.keys()
+    length = next(
+        (index for index, row in enumerate(rows) if row.keys() != names),
+        len(rows),
+    )
+    head = rows[:length]
+    return {name: [row[name] for row in head] for name in schema}, length
+
+
+def _first_mistyped(column: list, expected: ScalarType) -> int:
+    """Index of the first value not NULL nor of type ``expected``, or
+    ``len(column)``; values of a fast type are checked as a set."""
+    fast = _FAST_TYPES[expected]
+    if fast.issuperset(map(type, column)):
+        return len(column)
+    for index, value in enumerate(column):
+        if type(value) not in fast and not conforms(value, expected):
+            return index
+    return len(column)
+
+
+def _first_bad_key(key_columns: List[list], keys: list, stored: set) -> int:
+    """Index of the first primary key with a NULL part or already seen,
+    stored or earlier in the batch; ``len(keys)`` if there is none."""
+    batch = set(keys)
+    if (
+        len(batch) == len(keys)
+        and batch.isdisjoint(stored)
+        and not any(None in column for column in key_columns)
+    ):
+        return len(keys)
+    seen: set = set()
+    for index, key in enumerate(keys):
+        if None in key or key in stored or key in seen:
+            return index
+        seen.add(key)
+    return len(keys)
+
+
+def _first_unmatched(columns: List[list], length: int, targets: set) -> int:
+    """Index of the first foreign key without a NULL part that is not
+    in ``targets``; ``length`` if there is none."""
+    if not columns:
+        return 0 if length and () not in targets else length
+    unmatched = {
+        values
+        for values in set(zip(*columns)).difference(targets)
+        if None not in values
+    }
+    if unmatched:
+        for index, values in enumerate(zip(*columns)):
+            if values in unmatched:
+                return index
+    return length
+
+
+def _joined(stored: list, batch: list, count: int) -> list:
+    """A new column: ``stored`` followed by the first ``count`` of
+    ``batch`` (a list the write path owns, so it may be kept)."""
+    if count < len(batch):
+        batch = batch[:count]
+    return stored + batch if stored else batch

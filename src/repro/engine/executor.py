@@ -813,10 +813,11 @@ class Executor:
     # -- legacy row-at-a-time operators (the reference interpreter) ---------
 
     def _scan_legacy(self, operation: Datastore, inputs, stats):
-        relation = self._database.scan(operation.table)
+        # Project before building row dicts: a scan builds them anew.
+        relation = self._database.scan_columns(operation.table)
         if operation.columns:
-            return relation.project(list(operation.columns))
-        return Relation(schema=dict(relation.schema), rows=list(relation.rows))
+            relation = relation.project(list(operation.columns))
+        return relation.to_relation()
 
     def _project_legacy(self, operation, inputs, stats):
         return inputs[0].project(list(operation.columns))

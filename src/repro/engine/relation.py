@@ -5,8 +5,41 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List
 
-from repro.errors import EngineError
+from repro.errors import EngineError, TypeCheckError
 from repro.expressions.types import ScalarType, type_of_value
+
+
+def conforms(value: object, expected: ScalarType) -> bool:
+    """Whether ``value`` may be stored under ``expected``: NULL, a value
+    of that type, or an integer where a decimal is expected."""
+    try:
+        actual = type_of_value(value)
+    except TypeCheckError:
+        return False
+    if actual is None or actual is expected:
+        return True
+    return expected is ScalarType.DECIMAL and actual is ScalarType.INTEGER
+
+
+def check_row(schema: Dict[str, ScalarType], row: dict) -> None:
+    """Validate a row against a schema.
+
+    Every schema attribute must be present; extra attributes and
+    type mismatches (except NULL) are errors.  A value outside the
+    type system raises :class:`TypeCheckError`.
+    """
+    extra = set(row) - set(schema)
+    if extra:
+        raise EngineError(f"row has unknown attributes {sorted(extra)}")
+    for name, expected in schema.items():
+        if name not in row:
+            raise EngineError(f"row is missing attribute {name!r}")
+        value = row[name]
+        if not conforms(value, expected):
+            raise EngineError(
+                f"attribute {name!r}: expected {expected}, got "
+                f"{type_of_value(value)} ({value!r})"
+            )
 
 
 @dataclass
@@ -27,37 +60,12 @@ class Relation:
 
     def append(self, row: dict) -> None:
         """Append a row after checking attributes and value types."""
-        self.check_row(row)
+        check_row(self.schema, row)
         self.rows.append(row)
 
     def extend(self, rows) -> None:
         for row in rows:
             self.append(row)
-
-    def check_row(self, row: dict) -> None:
-        """Validate a row against the schema.
-
-        Every schema attribute must be present; extra attributes and
-        type mismatches (except NULL) are errors.
-        """
-        extra = set(row) - set(self.schema)
-        if extra:
-            raise EngineError(f"row has unknown attributes {sorted(extra)}")
-        for name, expected in self.schema.items():
-            if name not in row:
-                raise EngineError(f"row is missing attribute {name!r}")
-            value = row[name]
-            if value is None:
-                continue
-            actual = type_of_value(value)
-            if actual is expected:
-                continue
-            if expected is ScalarType.DECIMAL and actual is ScalarType.INTEGER:
-                continue  # integers are acceptable decimals
-            raise EngineError(
-                f"attribute {name!r}: expected {expected}, got {actual} "
-                f"({value!r})"
-            )
 
     def project(self, columns: List[str]) -> "Relation":
         """A new relation with only the given columns (in given order)."""

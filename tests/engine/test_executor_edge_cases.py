@@ -520,3 +520,24 @@ class TestUnhashableKeyValues:
             caught["legacy"]
             == "surrogate-key: unhashable value [1, 2] for key attribute 'k'"
         )
+
+
+@pytest.mark.parametrize("mode", ("legacy", "columnar", "planned", "parallel"))
+def test_loader_type_error_names_the_first_failing_row(mode):
+    """Every mode loads through the same batch write path, so a typed
+    target rejects the first failing row, not the first failing column,
+    and keeps the rows before it."""
+    database = Database()
+    database.create_table(TableDef("src", {"a": DEC, "b": DEC}))
+    database.insert_many("src", [{"a": 1, "b": 2.5}, {"a": 1.5, "b": 2}])
+    database.create_table(TableDef("out", {"a": INT, "b": INT}))
+    flow = EtlFlow("t")
+    flow.chain(Datastore("src", table="src"), Loader("load", table="out"))
+    options = {"parallel_row_threshold": 0} if mode == "parallel" else {}
+    with Executor(database, mode=mode, **options) as executor:
+        with pytest.raises(ExecutionError) as caught:
+            executor.execute(flow)
+    assert str(caught.value) == (
+        "node 'load': attribute 'b': expected integer, got decimal (2.5)"
+    )
+    assert database.row_count("out") == 0

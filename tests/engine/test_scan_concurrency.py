@@ -1,12 +1,13 @@
-"""Regression: lazy engine caches must be safe under a worker pool.
+"""Regression: engine reads must be safe under a worker pool.
 
-Before the per-table lock, ``Database.scan_columns`` was a bare
-check-then-set — two workers scanning the same table both paid the
-row-to-column pivot and could observe each other's half-built cache.
-The tests pin the fixed behaviour by counting pivots under deliberate
-contention: a slowed-down pivot makes the pre-fix race a certainty, so
-a regression flips these tests from deterministic-pass to
-deterministic-fail.
+``Database.scan_columns`` once pivoted row storage into a lazily cached
+columnar view, which needed a per-table lock so that concurrent readers
+shared one pivot.  Tables are now stored as column snapshots, so a scan
+is a plain read: concurrent readers must all get the stored snapshot
+itself, and nothing may pivot.  The statistics catalog still fills a
+lazy cache, and its tests count collections under deliberate
+contention: a slowed-down collection makes an unsynchronized
+check-then-set race a certainty.
 """
 
 import threading
@@ -34,22 +35,19 @@ def _database(rows: int = 200) -> Database:
     return database
 
 
-def test_scan_columns_pivots_once_under_contention(monkeypatch):
+def test_scan_columns_shares_one_snapshot_under_contention(monkeypatch):
     database = _database()
     pivots = []
     original = ColumnarRelation.from_relation.__func__
-    barrier = threading.Barrier(THREADS)
 
-    def slow_pivot(cls, relation):
-        # Stretch the pivot window so an unsynchronized check-then-set
-        # would reliably pivot once per thread instead of once total.
+    def counting_pivot(cls, relation):
         pivots.append(threading.get_ident())
-        threading.Event().wait(0.05)
         return original(cls, relation)
 
     monkeypatch.setattr(
-        ColumnarRelation, "from_relation", classmethod(slow_pivot)
+        ColumnarRelation, "from_relation", classmethod(counting_pivot)
     )
+    barrier = threading.Barrier(THREADS)
 
     def scan():
         barrier.wait(timeout=10)
@@ -58,9 +56,10 @@ def test_scan_columns_pivots_once_under_contention(monkeypatch):
     with ThreadPoolExecutor(max_workers=THREADS) as pool:
         relations = list(pool.map(lambda _: scan(), range(THREADS)))
 
-    assert len(pivots) == 1, f"{len(pivots)} pivots for one table"
+    assert pivots == []
     first = relations[0]
     assert all(relation is first for relation in relations)
+    assert first is database.scan_columns("t")
     assert first.length == 200
 
 
@@ -70,6 +69,7 @@ def test_scan_columns_cache_still_invalidated_by_writes():
     database.insert("t", {"k": 99, "v": "new"})
     after = database.scan_columns("t")
     assert after is not before
+    assert before.length == 3
     assert after.length == 4
 
 
