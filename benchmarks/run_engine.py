@@ -294,8 +294,8 @@ def parallel_revenue_flow():
     """The scan-heavy parallel scenario: a fused lineitem chain feeding
     a supplier join.
 
-    Selection, derive and the join probe all partition over row chunks;
-    the supplier-side hash build stays serial (it is tiny).  Everything
+    Selection and derive partition over row chunks; the supplier join
+    runs the serial kernel, which shares the lineitem columns.  Everything
     downstream of the scan is per-row work, so this is the shape the
     partitioned engine is built for.
     """

@@ -7,8 +7,13 @@ of one dict per row.  That buys the executor:
   never copied — relations are treated as immutable),
 * **batch** ``take``/``distinct``/``sorted_by`` that touch each column
   once instead of rebuilding row dicts,
-* tuple-key **hash join** and **hash aggregation** that operate directly
-  on column arrays (:func:`hash_join`, :func:`hash_aggregate`),
+* one **hash join** for every columnar mode (:func:`hash_join`): it
+  hashes the right key columns (raw values for one key, tuples for
+  several, ``()`` for none), probes them in one pass and gathers.  When
+  every left row comes out once and in order (an FK probe of a
+  duplicate-free right side, or a LEFT join on one), the output shares
+  the left input's column lists and gathers only the payload,
+* **hash aggregation** directly on column arrays (:func:`hash_aggregate`),
 * cheap evaluation of compiled expressions with
   ``map(column_fn, *columns)`` — no per-row dict in the hot path.
 
@@ -20,6 +25,10 @@ and a cached ``.rows`` property, ``__iter__`` and an uncached
 :meth:`to_relation` to leave.  Any code that handled a
 :class:`repro.engine.relation.Relation` result keeps working against a
 columnar one.
+
+Sharing is safe because no relation is mutated once built, and
+loaders copy: ``Database.insert_columns`` stores copies of the lists it
+is given, never the lists of an intermediate.
 
 Semantics mirror the row implementations exactly (NULL-key behaviour in
 joins, first-occurrence order in ``distinct``, NULLs-first sorting,
@@ -67,6 +76,11 @@ def _key_iter(columns: Sequence[list], length: int):
     if columns:
         return zip(*columns)
     return (() for _ in range(length))
+
+
+#: A right side hashed for probing: ``(unique, duplicates)``, see
+#: :func:`_join_index`.
+JoinIndex = Tuple[Dict[object, int], Dict[object, List[int]]]
 
 
 class ColumnarRelation:
@@ -229,6 +243,88 @@ class ColumnarRelation:
         )
 
 
+def _join_keys(columns: Sequence[list], length: int) -> Sequence:
+    """Each row's equi-join key, ``None`` where a key part is NULL.
+
+    One key column is used as is, with no tuple packing; several are
+    zipped into tuples; none gives every row the key ``()``, so a
+    keyless join is a cross product.  ``None in key`` finds the NULL
+    parts: no value the engine stores compares equal to ``None``.
+    """
+    if len(columns) == 1:
+        return columns[0]
+    if not columns:
+        return [()] * length
+    return [None if None in key else key for key in zip(*columns)]
+
+
+def _join_index(key_columns: Sequence[list], length: int) -> JoinIndex:
+    """Hash the right side of an equi-join on its key columns.
+
+    ``unique`` maps each key to its first right position; ``duplicates``
+    maps each key that occurs more than once to all its positions, in
+    order.  NULL keys are in neither, so they never match.  A
+    ``TypeError`` on an unhashable key propagates for the caller to
+    wrap.
+    """
+    keys = _join_keys(key_columns, length)
+    unique = dict(zip(keys, range(length)))
+    if len(unique) == length:
+        # No key repeats, so each key's only position is its first.
+        unique.pop(None, None)
+        return unique, {}
+    unique = {}
+    duplicates: Dict[object, List[int]] = {}
+    for position, key in enumerate(keys):
+        if key is None:
+            continue
+        first = unique.setdefault(key, position)
+        if first != position:
+            duplicates.setdefault(key, [first]).append(position)
+    return unique, duplicates
+
+
+def _join_probe(
+    index: JoinIndex, keys: Sequence, left_outer: bool
+) -> Tuple[Optional[List[int]], List[int]]:
+    """Matched (left, right) positions; ``-1`` marks a LEFT join's
+    unmatched row.  The left positions are ``None`` when they would be
+    ``0..len(keys)-1``."""
+    unique, duplicates = index
+    if not duplicates:
+        matches = list(map(unique.get, keys))
+        if None not in matches:
+            return None, matches
+        if left_outer:
+            return None, [-1 if match is None else match for match in matches]
+        return (
+            [
+                position
+                for position, match in enumerate(matches)
+                if match is not None
+            ],
+            [match for match in matches if match is not None],
+        )
+    fan_out = duplicates.get
+    first = unique.get
+    left_take: List[int] = []
+    right_take: List[int] = []
+    for position, key in enumerate(keys):
+        matches = fan_out(key)
+        if matches is not None:
+            left_take.extend([position] * len(matches))
+            right_take.extend(matches)
+            continue
+        match = first(key)
+        if match is not None:
+            left_take.append(position)
+            right_take.append(match)
+        elif left_outer:
+            left_take.append(position)
+            right_take.append(-1)
+    return left_take, right_take
+
+
 def hash_join(
     left: ColumnarRelation,
     right: ColumnarRelation,
@@ -238,42 +334,38 @@ def hash_join(
     schema: Dict[str, ScalarType],
     left_outer: bool = False,
 ) -> ColumnarRelation:
-    """Tuple-key hash join over column arrays.
+    """Equi-join over column arrays: build, probe and gather.
 
     ``payload`` names the right-side columns carried into the output
     (the caller already resolved same-name key columns and collisions).
     Rows with a NULL key part never match; with ``left_outer`` they are
     kept with NULL payload.  Output order matches the row-at-a-time
-    join: left order, matches in right insertion order.
-
-    Single-column keys skip tuple packing entirely, and a right side
-    without duplicate keys (the dimension side of every FK join) takes
-    a probe path with no inner match loop.
+    join: left order, matches in right insertion order.  When that is
+    every left row once, in order, the output shares the left
+    relation's column lists (as :meth:`ColumnarRelation.project` does)
+    and gathers only the payload.
     """
     try:
-        if len(right_keys) == 1:
-            left_take, right_take = _join_positions_single(
-                left.columns[left_keys[0]],
-                right.columns[right_keys[0]],
-                left_outer,
-            )
-        else:
-            left_take, right_take = _join_positions_multi(
-                [left.columns[key] for key in left_keys],
-                [right.columns[key] for key in right_keys],
-                left.length,
-                right.length,
-                left_outer,
-            )
+        index = _join_index(
+            [right.columns[key] for key in right_keys], right.length
+        )
+        left_take, right_take = _join_probe(
+            index,
+            _join_keys([left.columns[key] for key in left_keys], left.length),
+            left_outer,
+        )
     except TypeError as exc:
         named = [(key, left.columns[key]) for key in left_keys]
         named += [(key, right.columns[key]) for key in right_keys]
         raise unhashable_key_error("join", named, exc) from exc
 
-    columns: Dict[str, list] = {
-        name: [column[i] for i in left_take]
-        for name, column in left.columns.items()
-    }
+    if left_take is None:
+        columns = dict(left.columns)
+    else:
+        columns = {
+            name: [column[i] for i in left_take]
+            for name, column in left.columns.items()
+        }
     has_outer_slots = left_outer and -1 in right_take
     for name in payload:
         column = right.columns[name]
@@ -283,82 +375,9 @@ def hash_join(
             ]
         else:
             columns[name] = [column[j] for j in right_take]
-    return ColumnarRelation(schema=schema, columns=columns, length=len(left_take))
-
-
-def _join_positions_single(
-    left_column: list, right_column: list, left_outer: bool
-) -> Tuple[List[int], List[int]]:
-    """Matched (left, right) position pairs for a one-column key."""
-    unique: Dict[object, int] = {}
-    duplicates: Dict[object, List[int]] = {}
-    for position, key in enumerate(right_column):
-        if key is None:
-            continue
-        if key in unique:
-            duplicates.setdefault(key, [unique[key]]).append(position)
-        else:
-            unique[key] = position
-    left_take: List[int] = []
-    right_take: List[int] = []  # -1 marks an outer-join NULL slot
-    if not duplicates and not left_outer:
-        # The dominant case: FK probe against a unique (PK-like) side.
-        get = unique.get
-        for position, key in enumerate(left_column):
-            if key is None:
-                continue
-            match = get(key)
-            if match is not None:
-                left_take.append(position)
-                right_take.append(match)
-        return left_take, right_take
-    for position, key in enumerate(left_column):
-        matches = None
-        if key is not None:
-            matches = duplicates.get(key)
-            if matches is None and key in unique:
-                left_take.append(position)
-                right_take.append(unique[key])
-                continue
-        if matches:
-            for match in matches:
-                left_take.append(position)
-                right_take.append(match)
-        elif left_outer:
-            left_take.append(position)
-            right_take.append(-1)
-    return left_take, right_take
-
-
-def _join_positions_multi(
-    left_key_columns: List[list],
-    right_key_columns: List[list],
-    left_length: int,
-    right_length: int,
-    left_outer: bool,
-) -> Tuple[List[int], List[int]]:
-    """Matched (left, right) position pairs for a tuple key."""
-    index: Dict[tuple, List[int]] = {}
-    for position, key in enumerate(
-        _key_iter(right_key_columns, right_length)
-    ):
-        if any(part is None for part in key):
-            continue
-        index.setdefault(key, []).append(position)
-    left_take: List[int] = []
-    right_take: List[int] = []
-    for position, key in enumerate(_key_iter(left_key_columns, left_length)):
-        matches = (
-            index.get(key) if not any(part is None for part in key) else None
-        )
-        if matches:
-            for match in matches:
-                left_take.append(position)
-                right_take.append(match)
-        elif left_outer:
-            left_take.append(position)
-            right_take.append(-1)
-    return left_take, right_take
+    return ColumnarRelation(
+        schema=schema, columns=columns, length=len(right_take)
+    )
 
 
 def hash_aggregate(

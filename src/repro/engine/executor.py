@@ -24,11 +24,11 @@ Four execution modes share one dispatch skeleton:
   attached to the stats for q-error reporting.
 * ``"parallel"`` — the columnar core with partitioned execution:
   relations are split into contiguous row chunks and the fused chains,
-  selections, derivations, join probes and grouping scans run across a
+  selections, derivations and grouping scans run across a
   ``ThreadPoolExecutor`` (:mod:`repro.engine.parallel`), with chunk
   results merged in chunk order so results stay byte-identical to
-  ``"columnar"``.  Small inputs (below ``parallel_row_threshold``) fall
-  back to the serial kernels.
+  ``"columnar"``.  Joins, and inputs below ``parallel_row_threshold``
+  rows, run the serial kernels.
 
 Structural bookkeeping is shared and cheap: the topological order is
 computed once per ``execute()`` and intermediate results are released by
@@ -55,14 +55,12 @@ from repro.engine.parallel import (
     DEFAULT_PARALLEL_ROW_THRESHOLD,
     DEFAULT_WORKERS,
     ChainSpec,
-    build_join_index,
     chunk_ranges,
     compile_chain_spec,
     concat_parts,
     derive_chunk,
     filter_chunk,
     group_chunk,
-    join_chunk,
     merge_group_chunks,
     run_chain_chunk,
 )
@@ -171,7 +169,6 @@ _COLUMNAR_DISPATCH = {
 _PARALLEL_OVERRIDES = {
     "Selection": "_filter_parallel",
     "DerivedAttribute": "_derive_parallel",
-    "Join": "_join_parallel",
     "Aggregation": "_aggregate_parallel",
 }
 
@@ -734,42 +731,6 @@ class Executor:
         return ColumnarRelation(
             schema=schema, columns=new_columns, length=relation.length
         )
-
-    def _join_parallel(self, operation: Join, inputs, stats):
-        left, right = inputs
-        ranges = self._parallel_ranges(left.length)
-        if ranges is None:
-            return self._join_columnar(operation, inputs, stats)
-        schema, payload = _join_schema(operation, left.schema, right.schema)
-        left_keys = list(operation.left_keys)
-        right_keys = list(operation.right_keys)
-        left_outer = operation.join_type == JoinType.LEFT
-        try:
-            # The build side is serial (it is the smaller side of every
-            # FK join and inherently order-dependent); the probes fan
-            # out, each producing its slice of the matched positions.
-            index = build_join_index(right, right_keys)
-            futures = [
-                self._pool.submit(
-                    join_chunk,
-                    index,
-                    left,
-                    right,
-                    left_keys,
-                    payload,
-                    schema,
-                    left_outer,
-                    start,
-                    stop,
-                )
-                for start, stop in ranges
-            ]
-            parts = self._chunk_results(futures)
-        except TypeError as exc:
-            named = [(key, left.columns[key]) for key in left_keys]
-            named += [(key, right.columns[key]) for key in right_keys]
-            raise unhashable_key_error("join", named, exc) from exc
-        return concat_parts(schema, parts)
 
     def _aggregate_parallel(self, operation: Aggregation, inputs, stats):
         from repro.etlmodel.propagation import _aggregation_schema

@@ -9,9 +9,9 @@ the serial columnar engine:
   order*, so row order — and with it NULL placement, sort stability
   and ``distinct``/group first-occurrence order — is exactly the
   serial order.
-* Join probes run against one serially-built right-side index; each
-  chunk emits global row positions, so the merged output is the serial
-  ``left order × right insertion order``.
+* Joins are not partitioned: they run the serial kernel
+  (:func:`repro.engine.columnar.hash_join`), whose output shares the
+  left input's column lists where it can, which no chunked copy could.
 * Aggregation parallelises only the grouping scan.  Chunks return
   *member position lists*, merged order-preservingly into the serial
   group layout; the aggregate functions then fold the exact serial
@@ -25,7 +25,7 @@ the serial columnar engine:
   messages are independent of which chunk tripped first.
 
 The kernels (:func:`filter_chunk`, :func:`derive_chunk`,
-:func:`join_chunk`, :func:`group_chunk`, :func:`run_chain_chunk`) are
+:func:`group_chunk`, :func:`run_chain_chunk`) are
 pure functions over explicit arguments that share column lists
 zero-copy across a ``ThreadPoolExecutor``; on CPython the GIL bounds
 their speedup.
@@ -132,150 +132,6 @@ def derive_chunk(
     """The derived values of the chunk's rows, in row order."""
     chunk = [column[start:stop] for column in argument_columns]
     return list(map(function, *chunk))
-
-
-# -- join ---------------------------------------------------------------------
-
-
-def build_join_index(right: ColumnarRelation, right_keys: List[str]):
-    """The serial right-side index the probe chunks share.
-
-    Single-column keys keep the unique/duplicates split of the serial
-    kernel (so the no-duplicate fast path survives partitioning); tuple
-    keys build the position-list index.  ``TypeError`` on unhashable
-    keys propagates for the caller to wrap.
-    """
-    if len(right_keys) == 1:
-        unique: Dict[object, int] = {}
-        duplicates: Dict[object, List[int]] = {}
-        for position, key in enumerate(right.columns[right_keys[0]]):
-            if key is None:
-                continue
-            if key in unique:
-                duplicates.setdefault(key, [unique[key]]).append(position)
-            else:
-                unique[key] = position
-        return ("single", unique, duplicates)
-    index: Dict[tuple, List[int]] = {}
-    key_columns = [right.columns[key] for key in right_keys]
-    for position, key in enumerate(zip(*key_columns)):
-        if any(part is None for part in key):
-            continue
-        index.setdefault(key, []).append(position)
-    return ("multi", index)
-
-
-def probe_positions(
-    index,
-    key_columns: List[list],
-    left_outer: bool,
-    base: int,
-) -> Tuple[List[int], List[int]]:
-    """Matched (left, right) position pairs for one chunk's key slices.
-
-    ``key_columns`` hold only the chunk's rows; emitted left positions
-    are global (``base`` + local offset), exactly as the serial probe
-    would visit them.
-    """
-    left_take: List[int] = []
-    right_take: List[int] = []  # -1 marks an outer-join NULL slot
-    if index[0] == "single":
-        __, unique, duplicates = index
-        key_column = key_columns[0]
-        if not duplicates and not left_outer:
-            get = unique.get
-            for offset, key in enumerate(key_column):
-                if key is None:
-                    continue
-                match = get(key)
-                if match is not None:
-                    left_take.append(base + offset)
-                    right_take.append(match)
-            return left_take, right_take
-        for offset, key in enumerate(key_column):
-            matches = None
-            if key is not None:
-                matches = duplicates.get(key)
-                if matches is None and key in unique:
-                    left_take.append(base + offset)
-                    right_take.append(unique[key])
-                    continue
-            if matches:
-                for match in matches:
-                    left_take.append(base + offset)
-                    right_take.append(match)
-            elif left_outer:
-                left_take.append(base + offset)
-                right_take.append(-1)
-        return left_take, right_take
-    __, mapping = index
-    for offset, key in enumerate(zip(*key_columns)):
-        matches = (
-            mapping.get(key)
-            if not any(part is None for part in key)
-            else None
-        )
-        if matches:
-            for match in matches:
-                left_take.append(base + offset)
-                right_take.append(match)
-        elif left_outer:
-            left_take.append(base + offset)
-            right_take.append(-1)
-    return left_take, right_take
-
-
-def gather_join(
-    left: ColumnarRelation,
-    right: ColumnarRelation,
-    payload: List[str],
-    schema: Dict[str, object],
-    left_outer: bool,
-    left_take: List[int],
-    right_take: List[int],
-) -> ColumnarRelation:
-    """Materialise join output rows from matched position pairs.
-
-    Identical to the serial ``hash_join`` gather, so chunked joins are
-    byte-identical however the positions were produced.
-    """
-    columns: Dict[str, list] = {
-        name: [column[i] for i in left_take]
-        for name, column in left.columns.items()
-    }
-    has_outer_slots = left_outer and -1 in right_take
-    for name in payload:
-        column = right.columns[name]
-        if has_outer_slots:
-            columns[name] = [
-                column[j] if j >= 0 else None for j in right_take
-            ]
-        else:
-            columns[name] = [column[j] for j in right_take]
-    return ColumnarRelation(
-        schema=dict(schema), columns=columns, length=len(left_take)
-    )
-
-
-def join_chunk(
-    index,
-    left: ColumnarRelation,
-    right: ColumnarRelation,
-    left_keys: List[str],
-    payload: List[str],
-    schema: Dict[str, object],
-    left_outer: bool,
-    start: int,
-    stop: int,
-) -> ColumnarRelation:
-    """Probe one left chunk and gather its slice of the join output."""
-    key_columns = [left.columns[key][start:stop] for key in left_keys]
-    left_take, right_take = probe_positions(
-        index, key_columns, left_outer, start
-    )
-    return gather_join(
-        left, right, payload, schema, left_outer, left_take, right_take
-    )
 
 
 # -- aggregation --------------------------------------------------------------

@@ -246,12 +246,18 @@ def _join(builder: _Builder, left: Entry, right: Entry) -> Entry:
     rng = builder.rng
     left_name, left_schema = left
     right_name, right_schema = right
-    arity = 2 if rng.random() < 0.3 and len(right_schema) >= 2 else 1
+    draw = rng.random()
+    if draw < 0.05:
+        arity = 0  # a keyless join: the cross product
+    elif draw < 0.35 and len(right_schema) >= 2:
+        arity = 2
+    else:
+        arity = 1
     left_keys = [rng.choice(list(left_schema)) for _ in range(arity)]
     right_keys = rng.sample(list(right_schema), arity)
 
     mapping: Dict[str, str] = {}
-    if rng.random() < 0.35 and left_keys[0] not in right_schema:
+    if arity and rng.random() < 0.35 and left_keys[0] not in right_schema:
         # Exercise the same-named-key path: the equi-joined column
         # collapses to one output attribute.
         mapping[right_keys[0]] = left_keys[0]

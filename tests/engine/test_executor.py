@@ -184,6 +184,46 @@ class TestBinaryOperators:
             run(flow)
 
 
+def three_joins_flow():
+    """One ``cats`` scan is the right input of three joins."""
+    flow = EtlFlow("t")
+    flow.add(Datastore("items", table="items"))
+    flow.add(Datastore("dim", table="cats"))
+    for index, join_type in enumerate(("inner", "left", "inner")):
+        join = f"join{index}"
+        flow.add(
+            Join(
+                join,
+                left_keys=("cat",),
+                right_keys=("cat",),
+                join_type=join_type,
+            )
+        )
+        flow.connect("items", join)
+        flow.connect("dim", join)
+        flow.add(Loader(f"load{index}", table=f"out{index}"))
+        flow.connect(join, f"load{index}")
+    return flow
+
+
+class TestJoinSharing:
+    def test_loaded_tables_share_no_list_with_intermediates(self):
+        executor, __, database = run(three_joins_flow())
+        relations = executor.relations
+        # The LEFT join matches each item at most once, so its output
+        # shares the item columns instead of copying them.
+        items_k = relations["items"].columns["k"]
+        assert relations["join1"].columns["k"] is items_k
+        kept = {
+            id(column)
+            for relation in relations.values()
+            for column in relation.columns.values()
+        }
+        for table in ("out0", "out1", "out2"):
+            stored = database.scan_columns(table).columns.values()
+            assert not kept & {id(column) for column in stored}
+
+
 class TestAggregation:
     def test_group_by_with_null_group(self):
         flow = EtlFlow("t")

@@ -541,3 +541,47 @@ def test_loader_type_error_names_the_first_failing_row(mode):
         "node 'load': attribute 'b': expected integer, got decimal (2.5)"
     )
     assert database.row_count("out") == 0
+
+
+@pytest.mark.parametrize(
+    "join_type, right_rows, expected_rows",
+    [
+        ("inner", 2, 10_000),
+        ("left", 2, 10_000),
+        ("inner", 0, 0),
+        ("left", 0, 5_000),
+    ],
+)
+def test_keyless_join_is_a_cross_product_in_every_mode(
+    join_type, right_rows, expected_rows
+):
+    """A join with no keys pairs every left row with every right row.
+    5,000 left rows pass the default parallel row threshold, so the
+    ``parallel`` mode runs it in chunks."""
+    loads = {}
+    for mode in ("legacy", "columnar", "planned", "parallel"):
+        database = Database()
+        database.create_table(TableDef("l", {"a": INT}))
+        database.insert_many("l", [{"a": index} for index in range(5_000)])
+        database.create_table(TableDef("r", {"b": STR}))
+        database.insert_many(
+            "r", [{"b": f"b{index}"} for index in range(right_rows)]
+        )
+        flow = EtlFlow("t")
+        flow.add(Datastore("l", table="l"))
+        flow.add(Datastore("r", table="r"))
+        flow.add(Join("j", join_type=join_type))
+        flow.add(Loader("load", table="out"))
+        flow.connect("l", "j")
+        flow.connect("r", "j")
+        flow.connect("j", "load")
+        with Executor(database, mode=mode) as executor:
+            executor.execute(flow)
+        loads[mode] = [
+            (row["a"], row["b"]) for row in database.scan("out").rows
+        ]
+    assert len(loads["legacy"]) == expected_rows
+    expected = sorted(loads["legacy"], key=repr)
+    for mode, rows in loads.items():
+        assert sorted(rows, key=repr) == expected, mode
+    assert loads["parallel"] == loads["columnar"]

@@ -10,6 +10,7 @@ on; the thread pool is the only one.
 """
 
 import random
+from functools import partial
 
 import pytest
 
@@ -112,6 +113,31 @@ def assert_identical(build_flow, make_db=make_database, workers=3):
     assert parallel == columnar
 
 
+#: The (left, right) keys the facts-to-dims joins run with: one key,
+#: and none, which makes the join a cross product.
+JOIN_KEYS = ((("fk",), ("dk",)), ((), ()))
+
+
+def facts_dims_join(keys, join_type):
+    left_keys, right_keys = keys
+    flow = EtlFlow("t")
+    flow.add(Datastore("facts", table="facts"))
+    flow.add(Datastore("dims", table="dims"))
+    flow.add(
+        Join(
+            "join",
+            left_keys=left_keys,
+            right_keys=right_keys,
+            join_type=join_type,
+        )
+    )
+    flow.connect("facts", "join")
+    flow.connect("dims", "join")
+    flow.add(Loader("load", table="out"))
+    flow.connect("join", "load")
+    return flow
+
+
 class TestChunkRanges:
     def test_even_and_uneven_splits(self):
         assert chunk_ranges(10, 2) == [(0, 5), (5, 10)]
@@ -146,43 +172,18 @@ class TestOperatorEquivalence:
         assert_identical(build)
 
     def test_join_with_duplicates_and_null_keys(self, pool):
-        def build():
-            flow = EtlFlow("t")
-            flow.add(Datastore("facts", table="facts"))
-            flow.add(Datastore("dims", table="dims"))
-            flow.add(
-                Join(
-                    "join", left_keys=("fk",), right_keys=("dk",)
-                )
+        for keys in JOIN_KEYS:
+            columnar, parallel = run_modes(
+                partial(facts_dims_join, keys, JoinType.INNER)
             )
-            flow.connect("facts", "join")
-            flow.connect("dims", "join")
-            flow.add(Loader("load", table="out"))
-            flow.connect("join", "load")
-            return flow
-
-        assert_identical(build)
+            assert parallel == columnar, keys
 
     def test_left_outer_join_null_placement(self, pool):
-        def build():
-            flow = EtlFlow("t")
-            flow.add(Datastore("facts", table="facts"))
-            flow.add(Datastore("dims", table="dims"))
-            flow.add(
-                Join(
-                    "join",
-                    left_keys=("fk",),
-                    right_keys=("dk",),
-                    join_type=JoinType.LEFT,
-                )
+        for keys in JOIN_KEYS:
+            columnar, parallel = run_modes(
+                partial(facts_dims_join, keys, JoinType.LEFT)
             )
-            flow.connect("facts", "join")
-            flow.connect("dims", "join")
-            flow.add(Loader("load", table="out"))
-            flow.connect("join", "load")
-            return flow
-
-        assert_identical(build)
+            assert parallel == columnar, keys
 
     def test_multi_key_join(self, pool):
         def build():
