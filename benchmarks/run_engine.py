@@ -7,11 +7,7 @@ micro-workload, and writes ``BENCH_engine.json`` with both timings.
 It also compares unplanned columnar execution against the cost-based
 ``planned`` mode on join-order-sensitive flows (selection pushdown,
 join reordering, build-side choice), gated on quantised row-multiset
-equivalence, and serial columnar execution against the chunk-partitioned
-``parallel`` mode on a scan-heavy revenue workload — sweeping worker
-counts over the thread pool — gated on **exact** row-multiset
-equivalence (the parallel engine promises byte-identical results, so no
-quantisation is tolerated).  An ingest section times the database's
+equivalence.  An ingest section times the database's
 write path: ``load_source`` of every TPC-H source and a ``lineitem``
 reload, in rows/s as median and IQR over the rounds.
 
@@ -19,9 +15,8 @@ The runner is also the equivalence gate for the compiled columnar
 engine: after every workload it compares the loaded warehouse tables of
 the two modes **row-set-wise** (as multisets of rows, order ignored)
 and exits non-zero on any disagreement — a benchmark number is only
-reported for results that are known identical.  A missed parallel
-speedup gate is reported apart from result mismatches
-(``parallel_comparison.speedup_gate_misses``) and also exits non-zero.
+reported for results that are known identical.  Timings are recorded,
+never gated.
 
 Usage::
 
@@ -76,15 +71,6 @@ MODES = ("legacy", "columnar")
 #: sweep so join-order effects dominate fixed per-execution overheads.
 PLANNER_SCALE_FACTOR = 4.0
 
-#: The parallel scenario runs at the same large scale, sweeping worker
-#: counts over the thread pool; the ≥2x speedup gate is enforced per
-#: configuration only when the machine has at least that many cores (a
-#: 1-CPU box cannot speed anything up, and a waived gate is recorded in
-#: the report rather than silently passed).
-PARALLEL_SCALE_FACTOR = 4.0
-PARALLEL_WORKER_SWEEP = (2, 4)
-PARALLEL_SPEEDUP_TARGET = 2.0
-
 
 def loaded_tables(flow):
     return sorted(
@@ -111,24 +97,24 @@ def quantized_snapshot(database, tables):
     }
 
 
-def time_flows(database, flows, mode, snapshot=row_multiset, **executor_options):
+def time_flows(database, flows, mode, snapshot=row_multiset):
     """Best-of-rounds wall-clock of executing ``flows`` in ``mode``.
 
     Returns (seconds, snapshot of every loaded table).  The flows'
     loaders run in replace mode, so repeated rounds are idempotent; one
     warmup round removes one-time costs (parse/compile caches, columnar
-    scan pivots, worker-pool spin-up) from the measurement.
+    scan pivots) from the measurement.
     """
     tables = sorted({t for flow in flows for t in loaded_tables(flow)})
-    with Executor(database, mode=mode, **executor_options) as executor:
-        for flow in flows:  # warmup
+    executor = Executor(database, mode=mode)
+    for flow in flows:  # warmup
+        executor.execute(flow)
+    best = float("inf")
+    for __ in range(ROUNDS):
+        started = time.perf_counter()
+        for flow in flows:
             executor.execute(flow)
-        best = float("inf")
-        for __ in range(ROUNDS):
-            started = time.perf_counter()
-            for flow in flows:
-                executor.execute(flow)
-            best = min(best, time.perf_counter() - started)
+        best = min(best, time.perf_counter() - started)
     return best, snapshot(database, tables)
 
 
@@ -290,126 +276,6 @@ def run_planner_comparison(mismatches):
     }
 
 
-def parallel_revenue_flow():
-    """The scan-heavy parallel scenario: a fused lineitem chain feeding
-    a supplier join.
-
-    Selection and derive partition over row chunks; the supplier join
-    runs the serial kernel, which shares the lineitem columns.  Everything
-    downstream of the scan is per-row work, so this is the shape the
-    partitioned engine is built for.
-    """
-    flow = EtlFlow("parallel_revenue")
-    flow.add(Datastore("src_lineitem", table="lineitem"))
-    flow.add(Datastore("src_supplier", table="supplier"))
-    flow.add(Selection("bulk_only", predicate="l_quantity >= 10"))
-    flow.add(
-        DerivedAttribute(
-            "revenue",
-            output="revenue",
-            expression="l_extendedprice * (1 - l_discount)",
-        )
-    )
-    flow.add(
-        Join("j_supp", left_keys=("l_suppkey",), right_keys=("s_suppkey",))
-    )
-    flow.add(
-        Loader("load_out", table="bench_parallel_revenue", mode="replace")
-    )
-    flow.connect("src_lineitem", "bulk_only")
-    flow.connect("bulk_only", "revenue")
-    flow.connect("revenue", "j_supp")
-    flow.connect("src_supplier", "j_supp")
-    flow.connect("j_supp", "load_out")
-    return flow
-
-
-def run_parallel_comparison(mismatches):
-    """Serial columnar vs chunk-partitioned parallel execution,
-    sweeping worker counts over the thread pool.
-
-    The equivalence gate is exact (unquantised) row multisets — the
-    parallel engine's contract is byte-identical output; differences
-    land in ``mismatches``.  The ≥2x speedup gate is enforced per
-    configuration only when the host actually has as many cores as
-    workers; a miss is reported under ``speedup_gate_misses``, never in
-    ``mismatches``, because a slow configuration with identical results
-    is not a result mismatch.  On smaller machines the honest numbers
-    are still recorded, with the waiver spelled out in the report.
-    """
-    database = make_database(PARALLEL_SCALE_FACTOR)
-    flow = parallel_revenue_flow()
-    serial_seconds, serial_snapshot = time_flows(database, [flow], "columnar")
-    cpu_count = os.cpu_count() or 1
-    print(
-        f"  SF {PARALLEL_SCALE_FACTOR:<5} {'revenue':<14} "
-        f"serial {serial_seconds * 1000:8.1f}ms  ({cpu_count} core(s))"
-    )
-    gate_misses = []
-    per_workers = {}
-    for workers in PARALLEL_WORKER_SWEEP:
-        label = f"parallel revenue [thread x{workers}]"
-        seconds, snapshot = time_flows(
-            database,
-            [flow],
-            "parallel",
-            workers=workers,
-            parallel_row_threshold=0,
-        )
-        compare_snapshots(
-            label,
-            {"columnar": serial_snapshot, "parallel": snapshot},
-            mismatches,
-            modes=("columnar", "parallel"),
-        )
-        speedup = serial_seconds / seconds
-        gate_enforced = cpu_count >= workers
-        entry = {
-            "workers": workers,
-            "parallel_seconds": seconds,
-            "speedup": speedup,
-            "results_identical": not any(
-                m.startswith(label) for m in mismatches
-            ),
-            "speedup_gate_enforced": gate_enforced,
-        }
-        if not gate_enforced:
-            entry["speedup_gate_waiver"] = (
-                f"host has {cpu_count} core(s) for {workers} workers; "
-                f"a worker pool cannot beat serial execution without "
-                f"cores to run on, so the {PARALLEL_SPEEDUP_TARGET}x "
-                f"gate is waived"
-            )
-        elif speedup < PARALLEL_SPEEDUP_TARGET:
-            gate_misses.append(
-                f"{label}: speedup {speedup:.2f}x is below the "
-                f"{PARALLEL_SPEEDUP_TARGET}x target with {cpu_count} "
-                f"cores for {workers} workers"
-            )
-        per_workers[str(workers)] = entry
-        print(
-            f"  SF {PARALLEL_SCALE_FACTOR:<5} "
-            f"{'thread x' + str(workers):<14} "
-            f"serial {serial_seconds * 1000:8.1f}ms  "
-            f"parallel {seconds * 1000:8.1f}ms  "
-            f"speedup {speedup:.2f}x"
-            f"{'' if gate_enforced else '  (gate waived)'}"
-        )
-    return {
-        "modes": ["columnar", "parallel"],
-        "scale_factor": PARALLEL_SCALE_FACTOR,
-        "cpu_count": cpu_count,
-        "columnar_seconds": serial_seconds,
-        "worker_sweep": list(PARALLEL_WORKER_SWEEP),
-        "speedup_target": PARALLEL_SPEEDUP_TARGET,
-        "pools": {"thread": per_workers},
-        "results_identical": not any(
-            m.startswith("parallel revenue") for m in mismatches
-        ),
-        "speedup_gate_misses": gate_misses,
-    }
-
-
 def rows_per_second(rows, seconds):
     """Median and quartiles of ``rows / s`` over the rounds' seconds."""
     rates = [rows / elapsed for elapsed in seconds]
@@ -567,8 +433,6 @@ def main(argv=None) -> int:
     by_scale_factor = run_tpch_workloads(mismatches)
     print("planner benchmark: unplanned columnar vs cost-based planned")
     planner = run_planner_comparison(mismatches)
-    print("parallel benchmark: serial columnar vs chunk-partitioned")
-    parallel = run_parallel_comparison(mismatches)
     a1 = run_a1_equivalence(mismatches)
     print("ingest benchmark: the database's validated write path")
     ingest = run_ingest(mismatches)
@@ -582,7 +446,6 @@ def main(argv=None) -> int:
         "timing": "best of rounds, after one warmup execution",
         "scale_factors": by_scale_factor,
         "planner_comparison": planner,
-        "parallel_comparison": parallel,
         "a1_equivalence": a1,
         "ingest": ingest,
         "largest_scale_factor": largest,
@@ -599,10 +462,7 @@ def main(argv=None) -> int:
 
     for mismatch in mismatches:
         print(f"MISMATCH: {mismatch}", file=sys.stderr)
-    gate_misses = parallel["speedup_gate_misses"]
-    for miss in gate_misses:
-        print(f"GATE MISS: {miss}", file=sys.stderr)
-    return 1 if mismatches or gate_misses else 0
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

@@ -5,15 +5,15 @@ Runs an :class:`repro.etlmodel.flow.EtlFlow` against a
 wall-clock time and throughput, so the "overall execution time" quality
 factor of the demo can be *measured*, not only estimated.
 
-Four execution modes share one dispatch skeleton:
+Three execution modes share one serial dispatch skeleton:
 
 * ``"columnar"`` (default) — the compiled-columnar core: operations run
   over :class:`repro.engine.columnar.ColumnarRelation` column arrays,
   predicates and derivations are lowered to Python closures by
   :mod:`repro.expressions.compiler` (no per-row tree walking), adjacent
   Selection/Projection/Extraction/DerivedAttribute/Rename chains are
-  fused into a single pass over the data, and loads go through the
-  database's bulk column path.
+  fused into a single pass over the data (:mod:`repro.engine.fusion`),
+  and loads go through the database's bulk column path.
 * ``"legacy"`` — the original row-at-a-time interpreter over dict rows,
   kept as the semantic reference: ``benchmarks/run_engine`` gates the
   columnar path on bit-identical results against this mode.
@@ -22,13 +22,6 @@ Four execution modes share one dispatch skeleton:
   rewritten (selection/projection pushdown, join reordering, build-side
   choice) before execution and per-node cardinality estimates are
   attached to the stats for q-error reporting.
-* ``"parallel"`` — the columnar core with partitioned execution:
-  relations are split into contiguous row chunks and the fused chains,
-  selections, derivations and grouping scans run across a
-  ``ThreadPoolExecutor`` (:mod:`repro.engine.parallel`), with chunk
-  results merged in chunk order so results stay byte-identical to
-  ``"columnar"``.  Joins, and inputs below ``parallel_row_threshold``
-  rows, run the serial kernels.
 
 Structural bookkeeping is shared and cheap: the topological order is
 computed once per ``execute()`` and intermediate results are released by
@@ -38,9 +31,8 @@ a per-node consumer countdown (O(V+E) overall, not O(n²)).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import ExecutionError
 from repro.engine.columnar import (
@@ -51,20 +43,12 @@ from repro.engine.columnar import (
     surrogate_keys,
     unhashable_key_error,
 )
-from repro.engine.parallel import (
-    DEFAULT_PARALLEL_ROW_THRESHOLD,
-    DEFAULT_WORKERS,
-    ChainSpec,
-    chunk_ranges,
-    compile_chain_spec,
-    concat_parts,
-    derive_chunk,
-    filter_chunk,
-    group_chunk,
-    merge_group_chunks,
-    run_chain_chunk,
-)
 from repro.engine.database import Database, TableDef
+from repro.engine.fusion import (
+    build_chain_spec,
+    compile_chain_spec,
+    fusion_plan,
+)
 from repro.engine.relation import Relation
 from repro.etlmodel.flow import EtlFlow
 from repro.engine.scd import scd_merge
@@ -72,11 +56,9 @@ from repro.etlmodel.ops import (
     Aggregation,
     Datastore,
     DerivedAttribute,
-    Extraction,
     Join,
     JoinType,
     Loader,
-    Projection,
     Rename,
     SCDUpdate,
     Selection,
@@ -140,11 +122,6 @@ class ExecutionStats:
         return sum(stats.input_rows for stats in self.nodes)
 
 
-#: Operation kinds a fused single-pass chain may contain.
-_FUSABLE_KINDS = frozenset(
-    {"Selection", "Projection", "Extraction", "DerivedAttribute", "Rename"}
-)
-
 #: kind -> method-name dispatch tables (resolved per instance so the
 #: methods are bound); replaces the old isinstance chain.
 _COLUMNAR_DISPATCH = {
@@ -162,14 +139,6 @@ _COLUMNAR_DISPATCH = {
     "Distinct": "_distinct_columnar",
     "SCDUpdate": "_scd_columnar",
     "Loader": "_load_columnar",
-}
-
-#: ``parallel`` mode: the columnar table with the partitionable
-#: operators swapped for their chunked kernels.
-_PARALLEL_OVERRIDES = {
-    "Selection": "_filter_parallel",
-    "DerivedAttribute": "_derive_parallel",
-    "Aggregation": "_aggregate_parallel",
 }
 
 _LEGACY_DISPATCH = {
@@ -190,115 +159,31 @@ _LEGACY_DISPATCH = {
 }
 
 
-def fusion_plan(
-    flow: EtlFlow,
-    order: List[str],
-    inputs_of: Dict[str, List[str]],
-) -> Tuple[Dict[str, List[str]], frozenset]:
-    """Find maximal fusable unary chains.
-
-    A chain is a run of Selection/Projection/Extraction/
-    DerivedAttribute/Rename nodes where each link is the sole
-    consumer of its predecessor.  Returns ``{head: [chain...]}``
-    plus the set of non-head members to skip in the main loop.
-
-    Module-level so the planner can anticipate which chains the engine
-    will fuse (its fusion veto keys on the chain heads found here).
-    """
-    chains: Dict[str, List[str]] = {}
-    absorbed: set = set()
-    for name in order:
-        if name in absorbed or name in chains:
-            continue
-        if flow.node(name).kind not in _FUSABLE_KINDS:
-            continue
-        chain = [name]
-        current = name
-        while True:
-            successors = flow.outputs(current)
-            if len(successors) != 1:
-                break
-            successor = successors[0]
-            if flow.node(successor).kind not in _FUSABLE_KINDS:
-                break
-            if inputs_of[successor] != [current]:
-                break
-            chain.append(successor)
-            current = successor
-        if len(chain) >= 2:
-            chains[name] = chain
-            absorbed.update(chain[1:])
-    return chains, frozenset(absorbed)
-
-
 class Executor:
     """Executes ETL flows against a database.
 
     ``mode`` selects the execution core: ``"columnar"`` (default, the
     compiled-columnar engine), ``"planned"`` (the columnar engine behind
-    the cost-based rewrite pipeline of :mod:`repro.planner`),
-    ``"parallel"`` (the columnar engine with chunk-partitioned operators
-    over a ``workers``-wide thread pool) or ``"legacy"`` (the row-at-a-time
-    reference interpreter).  All four produce identical results.
-
-    A parallel executor owns its thread pool; it is spawned lazily,
-    reused across ``execute()`` calls and released by :meth:`close`
-    (the executor is also a context manager).  Relations shorter than
-    ``parallel_row_threshold`` rows run on the serial kernels.
+    the cost-based rewrite pipeline of :mod:`repro.planner`) or
+    ``"legacy"`` (the row-at-a-time reference interpreter).  All three
+    produce identical results.
     """
 
-    def __init__(
-        self,
-        database: Database,
-        mode: str = "columnar",
-        workers: int = DEFAULT_WORKERS,
-        parallel_row_threshold: int = DEFAULT_PARALLEL_ROW_THRESHOLD,
-    ) -> None:
-        if mode not in ("columnar", "legacy", "planned", "parallel"):
+    def __init__(self, database: Database, mode: str = "columnar") -> None:
+        if mode not in ("columnar", "legacy", "planned"):
             raise ValueError(f"unknown executor mode {mode!r}")
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
         self._database = database
         self.mode = mode
-        self.workers = workers
-        self._parallel_threshold = parallel_row_threshold
-        self._pool_instance = None
         table = _LEGACY_DISPATCH if mode == "legacy" else _COLUMNAR_DISPATCH
         self._dispatch: Dict[str, Callable] = {
             kind: getattr(self, attr) for kind, attr in table.items()
         }
-        if mode == "parallel":
-            for kind, attr in _PARALLEL_OVERRIDES.items():
-                self._dispatch[kind] = getattr(self, attr)
         #: The last plan produced in ``planned`` mode (for explain/tests).
         self.last_plan = None
         #: Statistics catalog shared across executions: its generation
         #: counters invalidate per-table, so repeated runs against the
         #: same sources reuse their histograms instead of rescanning.
         self._stats_catalog = None
-
-    # -- worker pool --------------------------------------------------------
-
-    @property
-    def _pool(self):
-        if self._pool_instance is None:
-            self._pool_instance = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-exec",
-            )
-        return self._pool_instance
-
-    def close(self) -> None:
-        """Release the worker pool (no-op for serial executors)."""
-        if self._pool_instance is not None:
-            self._pool_instance.shutdown(wait=True)
-            self._pool_instance = None
-
-    def __enter__(self) -> "Executor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def execute(
         self, flow: EtlFlow, keep_intermediate: bool = False
@@ -311,8 +196,9 @@ class Executor:
         flow.check()
         plan = None
         if self.mode == "planned":
-            # Imported lazily: the planner imports this module for the
-            # fusion-chain shape, so a top-level import would cycle.
+            # Imported lazily: the planner imports the ``repro.engine``
+            # package, whose ``__init__`` imports this module, so a
+            # top-level import would cycle.
             from repro.engine.stats import StatisticsCatalog
             from repro.planner import plan_flow
 
@@ -419,16 +305,14 @@ class Executor:
         node_started = time.perf_counter()
         program = None
         try:
-            spec = _build_chain_spec(flow, chain, input_relation)
+            spec = build_chain_spec(flow, chain, input_relation)
             if spec is not None:
                 program = compile_chain_spec(spec)
         except Exception:
             program = None
         if program is not None:
             try:
-                result, filter_counts = self._run_chain_program(
-                    program, input_relation
-                )
+                result, filter_counts = program.run(input_relation)
             except Exception:
                 result = None
             if result is not None:
@@ -625,152 +509,6 @@ class Executor:
         )
         return relation
 
-    # -- partitioned parallel operators -------------------------------------
-
-    def _parallel_ranges(self, length: int):
-        """Chunk ranges when partitioning pays, else ``None`` (serial)."""
-        if length < self._parallel_threshold:
-            return None
-        ranges = chunk_ranges(length, self.workers)
-        if len(ranges) <= 1:
-            return None
-        return ranges
-
-    def _chunk_results(self, futures) -> list:
-        """Collect chunk futures in chunk order.
-
-        The earliest chunk's exception wins — that chunk holds the
-        globally-first failing row, so the error surfaced matches the
-        serial engine's exactly.
-        """
-        results = []
-        error: Optional[BaseException] = None
-        for future in futures:
-            if error is None:
-                try:
-                    results.append(future.result())
-                except BaseException as exc:
-                    error = exc
-            else:
-                future.cancel()
-        if error is not None:
-            raise error
-        return results
-
-    def _run_chain_program(self, program, relation: ColumnarRelation):
-        """Run a fused chain serially or chunk-partitioned.
-
-        Pure structural programs stay serial — they are zero-copy column
-        re-selections, and chunking would force a copy.
-        """
-        ranges = None
-        if self.mode == "parallel" and program.steps:
-            ranges = self._parallel_ranges(relation.length)
-        if ranges is None:
-            return program.run(relation)
-        futures = [
-            self._pool.submit(run_chain_chunk, program, relation, start, stop)
-            for start, stop in ranges
-        ]
-        parts = self._chunk_results(futures)
-        result = concat_parts(
-            program.output_schema, [part for part, __ in parts]
-        )
-        filter_counts = [
-            sum(counts)
-            for counts in zip(*(counts for __, counts in parts))
-        ]
-        return result, filter_counts
-
-    def _filter_parallel(self, operation: Selection, inputs, stats):
-        relation: ColumnarRelation = inputs[0]
-        compiled = compile_expression(operation.predicate)
-        columns = _argument_columns(compiled, relation)
-        ranges = self._parallel_ranges(relation.length)
-        if columns is None or not compiled.attributes or ranges is None:
-            # Serial fallbacks (row-at-a-time evaluation, constant
-            # predicates, small inputs) — same results, same errors.
-            return self._filter_columnar(operation, inputs, stats)
-        function = compiled.column_fn
-        chunks = self._chunk_results(
-            [
-                self._pool.submit(filter_chunk, function, columns, start, stop)
-                for start, stop in ranges
-            ]
-        )
-        keep: List[int] = []
-        for chunk in chunks:
-            keep.extend(chunk)
-        if len(keep) == relation.length:
-            return relation
-        return relation.take(keep)
-
-    def _derive_parallel(self, operation: DerivedAttribute, inputs, stats):
-        from repro.etlmodel.propagation import _derive_schema
-
-        relation: ColumnarRelation = inputs[0]
-        # Type-check (and fail) before evaluating, like the serial kernel.
-        schema = _derive_schema(operation, relation.schema)
-        compiled = compile_expression(operation.expression)
-        columns = _argument_columns(compiled, relation)
-        ranges = self._parallel_ranges(relation.length)
-        if columns is None or not compiled.attributes or ranges is None:
-            return self._derive_columnar(operation, inputs, stats)
-        function = compiled.column_fn
-        chunks = self._chunk_results(
-            [
-                self._pool.submit(derive_chunk, function, columns, start, stop)
-                for start, stop in ranges
-            ]
-        )
-        derived: list = []
-        for chunk in chunks:
-            derived.extend(chunk)
-        new_columns = dict(relation.columns)
-        new_columns[operation.output] = derived
-        return ColumnarRelation(
-            schema=schema, columns=new_columns, length=relation.length
-        )
-
-    def _aggregate_parallel(self, operation: Aggregation, inputs, stats):
-        from repro.etlmodel.propagation import _aggregation_schema
-
-        relation: ColumnarRelation = inputs[0]
-        ranges = self._parallel_ranges(relation.length)
-        if not operation.group_by or ranges is None:
-            # A global aggregate is one serial fold by definition.
-            return self._aggregate_columnar(operation, inputs, stats)
-        schema = _aggregation_schema(operation, relation.schema)
-        group_columns = [
-            relation.columns[name] for name in operation.group_by
-        ]
-        try:
-            futures = [
-                self._pool.submit(group_chunk, group_columns, start, stop)
-                for start, stop in ranges
-            ]
-            parts = self._chunk_results(futures)
-        except TypeError as exc:
-            raise unhashable_key_error(
-                "aggregate", zip(operation.group_by, group_columns), exc
-            ) from exc
-        keys_in_order, members = merge_group_chunks(parts)
-        columns: Dict[str, list] = {}
-        for key_position, name in enumerate(operation.group_by):
-            columns[name] = [key[key_position] for key in keys_in_order]
-        for spec in operation.aggregates:
-            source = relation.columns[spec.input]
-            columns[spec.output] = [
-                aggregate_values(
-                    spec.function,
-                    [source[i] for i in group if source[i] is not None],
-                )
-                for group in members
-            ]
-        return ColumnarRelation(
-            schema=schema, columns=columns, length=len(keys_in_order)
-        )
-
     # -- legacy row-at-a-time operators (the reference interpreter) ---------
 
     def _scan_legacy(self, operation: Datastore, inputs, stats):
@@ -953,7 +691,7 @@ class Executor:
         table (first load, or a policy change) starts fresh history —
         the downstream replace-mode loader rebuilds the table anyway.
         The row-level merge itself is the pure, mode-independent
-        :func:`repro.engine.scd.scd_merge`, keeping all four engine
+        :func:`repro.engine.scd.scd_merge`, keeping all three engine
         modes byte-identical.
         """
         from repro.etlmodel.propagation import _scd_schema
@@ -1021,123 +759,3 @@ def _argument_columns(
             return None
         arguments.append(column)
     return arguments
-
-
-# -- fused chain specs -------------------------------------------------------
-
-
-def _build_chain_spec(
-    flow: EtlFlow, chain: List[str], input_relation: ColumnarRelation
-) -> Optional[ChainSpec]:
-    """Describe a fused chain against the input schema as a
-    :class:`repro.engine.parallel.ChainSpec`.
-
-    Returns ``None`` when the chain cannot be fused faithfully (missing
-    attributes, schema errors, parse errors …) — the caller then runs
-    the chain stage by stage, which reproduces the engine's exact error
-    behaviour.
-
-    The spec's ``input_names`` are compacted to the chain's *read-set*:
-    input columns no step reads and the output does not keep are
-    dropped from the slot space entirely, so chunk slicing never
-    touches them.
-    """
-    from repro.etlmodel.propagation import _derive_schema
-
-    input_names = list(input_relation.schema)
-    schema: Dict[str, ScalarType] = dict(input_relation.schema)
-    positions: Dict[str, int] = {
-        name: index for index, name in enumerate(input_names)
-    }
-    next_slot = len(input_names)
-    steps: List[tuple] = []
-    filter_count = 0
-    for name in chain:
-        operation = flow.node(name)
-        if isinstance(operation, Selection):
-            compiled = compile_expression(operation.predicate)
-            if any(a not in positions for a in compiled.attributes):
-                return None
-            argument_positions = tuple(
-                positions[a] for a in compiled.attributes
-            )
-            steps.append(
-                ("filter", compiled.text, argument_positions, filter_count)
-            )
-            filter_count += 1
-        elif isinstance(operation, (Projection, Extraction)):
-            wanted = list(operation.columns)
-            if any(column not in positions for column in wanted):
-                return None
-            schema = {column: schema[column] for column in wanted}
-            positions = {column: positions[column] for column in wanted}
-        elif isinstance(operation, DerivedAttribute):
-            compiled = compile_expression(operation.expression)
-            if any(a not in positions for a in compiled.attributes):
-                return None
-            schema = _derive_schema(operation, schema)
-            argument_positions = tuple(
-                positions[a] for a in compiled.attributes
-            )
-            steps.append(
-                ("derive", compiled.text, argument_positions, next_slot)
-            )
-            positions = dict(positions)
-            positions[operation.output] = next_slot
-            next_slot += 1
-        elif isinstance(operation, Rename):
-            mapping = operation.mapping()
-            schema = {
-                mapping.get(key, key): value for key, value in schema.items()
-            }
-            positions = {
-                mapping.get(key, key): value
-                for key, value in positions.items()
-            }
-        else:
-            return None
-    output_positions = [positions[name] for name in schema]
-    # Read-set compaction: keep only input slots some step argument or
-    # output column actually references, then renumber — input slots to
-    # their compacted index, derived slots shifted down by the dropped
-    # input count (the runtime appends derived values right after the
-    # inputs, wherever the input list ends).
-    total_inputs = len(input_names)
-    used = sorted(
-        {
-            position
-            for __, __, argument_positions, __s in steps
-            for position in argument_positions
-            if position < total_inputs
-        }
-        | {
-            position
-            for position in output_positions
-            if position < total_inputs
-        }
-    )
-    new_index = {old: new for new, old in enumerate(used)}
-    kept_inputs = len(used)
-
-    def remap(position: int) -> int:
-        if position < total_inputs:
-            return new_index[position]
-        return position - total_inputs + kept_inputs
-
-    return ChainSpec(
-        input_names=tuple(input_names[position] for position in used),
-        steps=tuple(
-            (
-                kind,
-                text,
-                tuple(remap(p) for p in argument_positions),
-                counter if kind == "filter" else remap(counter),
-            )
-            for kind, text, argument_positions, counter in steps
-        ),
-        output_schema=tuple(schema.items()),
-        output_positions=tuple(
-            remap(position) for position in output_positions
-        ),
-        filter_count=filter_count,
-    )

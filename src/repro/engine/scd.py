@@ -2,9 +2,9 @@
 
 One pure function, :func:`scd_merge`, shared verbatim by the legacy
 row-at-a-time interpreter and the columnar engine (and therefore by the
-planned and parallel modes, which reuse the columnar kernel), so all
-four execution modes produce byte-identical dimension history — same
-row order, same window values, same errors.
+planned mode, which reuses the columnar kernel), so all three
+execution modes produce byte-identical dimension history — same row
+order, same window values, same errors.
 
 The merge follows pygrametl's ``SlowlyChangingDimension``:
 

@@ -4,7 +4,7 @@ Every shrunk failure the fuzzer finds can be serialised to a small JSON
 document and committed under ``tests/fuzz/corpus/``; the tier-1 smoke
 test replays every entry on each run, so a fixed bug stays fixed.
 
-Six entry kinds:
+Five entry kinds:
 
 * ``"flow"`` — source tables (schema + rows) and the flow as xLM text;
   replay runs the full differential flow check.
@@ -12,13 +12,11 @@ Six entry kinds:
   static/dynamic agreement check (linter versus engine) instead.
 * ``"planned"`` — same payload as ``"flow"``; replay runs the
   planner-equivalence check (planned versus unplanned execution).
-* ``"parallel"`` — same payload as ``"flow"``; replay runs the
-  parallel-equivalence check (chunked versus serial, byte-identical).
 * ``"query"`` — documents, query, sort key and limit; replay runs the
   document-store check against the naive reference.
 * ``"evolve"`` — SCD policy assignment plus a design script (adds,
   removals and evolution operators) over the TPC-H domain; replay
-  checks incremental evolution against replay, rebuild and the four
+  checks incremental evolution against replay, rebuild and the three
   engine modes.
 
 Dates are tagged ``{"$date": "YYYY-MM-DD"}`` since JSON has no date
@@ -38,7 +36,6 @@ from repro.fuzz.evolveoracle import EvolveTrial, check_evolve_trial
 from repro.fuzz.flowgen import FlowTrial
 from repro.fuzz.lintoracle import LintTrial, check_lint_trial
 from repro.fuzz.oracle import check_flow_trial, check_query_trial
-from repro.fuzz.paralleloracle import ParallelTrial, check_parallel_trial
 from repro.fuzz.planoracle import PlanTrial, check_plan_trial
 from repro.fuzz.querygen import QueryTrial
 from repro.xformats import xlm
@@ -122,12 +119,6 @@ def plan_entry(trial, description: str = "") -> dict:
     return entry
 
 
-def parallel_entry(trial, description: str = "") -> dict:
-    entry = flow_entry(trial, description)
-    entry["kind"] = "parallel"
-    return entry
-
-
 def evolve_entry(trial: EvolveTrial, description: str = "") -> dict:
     return {
         "kind": "evolve",
@@ -144,8 +135,6 @@ def encode_trial(trial, description: str = "") -> dict:
         return lint_entry(trial, description)
     if isinstance(trial, PlanTrial):
         return plan_entry(trial, description)
-    if isinstance(trial, ParallelTrial):
-        return parallel_entry(trial, description)
     if isinstance(trial, FlowTrial):
         return flow_entry(trial, description)
     if isinstance(trial, EvolveTrial):
@@ -169,11 +158,10 @@ def _decode_tables(entry: dict) -> List[TableSpec]:
 
 def decode_entry(entry: dict):
     """An entry dict back into the trial object it froze."""
-    if entry["kind"] in ("flow", "lint", "planned", "parallel"):
+    if entry["kind"] in ("flow", "lint", "planned"):
         trial_class = {
             "lint": LintTrial,
             "planned": PlanTrial,
-            "parallel": ParallelTrial,
         }.get(entry["kind"], FlowTrial)
         return trial_class(
             tables=_decode_tables(entry),
@@ -212,8 +200,6 @@ def replay(entry: dict) -> Optional[str]:
         return check_lint_trial(trial)
     if isinstance(trial, PlanTrial):
         return check_plan_trial(trial)
-    if isinstance(trial, ParallelTrial):
-        return check_parallel_trial(trial)
     if isinstance(trial, FlowTrial):
         return check_flow_trial(trial)
     if isinstance(trial, EvolveTrial):

@@ -14,7 +14,7 @@ session.  Three things must then hold:
   (``replay_unified_design``) must reproduce the evolved design — the
   typed ``partial.replaced`` envelopes carry enough to reconstruct it.
 * **Mode parity.**  The final design's ETL executes on a generated
-  TPC-H micro-database in all four engine modes; dimension tables
+  TPC-H micro-database in all three engine modes; dimension tables
   (where the SCD merge writes) must be *byte-identical* across modes,
   fact tables must agree as quantised multisets (the planner may
   legitimately reorder fact rows, never dimension history).
@@ -45,7 +45,7 @@ _EFFECTIVE_DATE = "2024-06-01"
 #: Scale factor for the mode-parity micro-database.
 _SCALE = 0.1
 
-_MODES = ("legacy", "columnar", "planned", "parallel")
+_MODES = ("legacy", "columnar", "planned")
 
 #: Retype targets the generator draws from.
 _RETYPE_TYPES = ("integer", "decimal", "string", "boolean")

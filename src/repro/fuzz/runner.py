@@ -2,8 +2,7 @@
 
 Each integer seed yields one flow trial, one query trial, one lint
 trial (static/dynamic agreement), one planner trial (planned versus
-unplanned execution), one parallel trial (chunked versus serial
-execution, byte-identical) and one evolve trial (incremental design
+unplanned execution) and one evolve trial (incremental design
 evolution versus full rebuild), all fully determined by the seed
 (string-seeded RNG, stable across platforms and ``PYTHONHASHSEED``).  Failures are shrunk and written as corpus-format
 JSON into ``--failures-dir``; promote a file into
@@ -39,11 +38,6 @@ from repro.fuzz.lintoracle import (
     shrink_lint_trial,
 )
 from repro.fuzz.oracle import check_flow_trial, check_query_trial
-from repro.fuzz.paralleloracle import (
-    build_parallel_trial,
-    check_parallel_trial,
-    shrink_parallel_trial,
-)
 from repro.fuzz.planoracle import (
     build_plan_trial,
     check_plan_trial,
@@ -57,12 +51,6 @@ _KINDS = (
     ("query", build_query_trial, check_query_trial, shrink_query_trial),
     ("lint", build_lint_trial, check_lint_trial, shrink_lint_trial),
     ("planned", build_plan_trial, check_plan_trial, shrink_plan_trial),
-    (
-        "parallel",
-        build_parallel_trial,
-        check_parallel_trial,
-        shrink_parallel_trial,
-    ),
     ("evolve", build_evolve_trial, check_evolve_trial, shrink_evolve_trial),
 )
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
+from repro.engine.fusion import fusion_plan
 from repro.engine.stats import StatisticsCatalog
 from repro.etlmodel.equivalence import (
     _MAX_PASSES,
@@ -431,8 +432,6 @@ def _fusion_vetoes(
     estimates: Dict[str, NodeEstimate],
     decisions: List[str],
 ) -> frozenset:
-    from repro.engine.executor import fusion_plan
-
     order = flow.topological_order()
     inputs_of = {name: flow.inputs(name) for name in order}
     chains, __ = fusion_plan(flow, order, inputs_of)

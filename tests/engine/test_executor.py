@@ -79,6 +79,17 @@ class TestUnaryOperators:
         # NULL price row does not pass (three-valued logic).
         assert {row["k"] for row in db.scan("out").rows} == {1, 2}
 
+    def test_selection_keeping_every_row_returns_its_input(self):
+        flow = EtlFlow("t")
+        flow.chain(
+            Datastore("src", table="items"),
+            Selection("sel", predicate="k >= 0"),
+            Loader("load", table="out"),
+        )
+        executor, __, __ = run(flow)
+        # Zero copy: a filter that drops nothing passes its input on.
+        assert executor.relations["sel"] is executor.relations["src"]
+
     def test_derive_computes_expression(self):
         flow = EtlFlow("t")
         flow.chain(

@@ -416,8 +416,10 @@ class TestModeEquivalence:
         assert results["legacy"] == results["columnar"]
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            Executor(Database(), mode="vectorised")
+        for mode in ("vectorised", "parallel"):
+            with pytest.raises(ValueError) as caught:
+                Executor(Database(), mode=mode)
+            assert str(caught.value) == f"unknown executor mode {mode!r}"
 
 
 class TestUnhashableKeyValues:
@@ -522,7 +524,7 @@ class TestUnhashableKeyValues:
         )
 
 
-@pytest.mark.parametrize("mode", ("legacy", "columnar", "planned", "parallel"))
+@pytest.mark.parametrize("mode", ("legacy", "columnar", "planned"))
 def test_loader_type_error_names_the_first_failing_row(mode):
     """Every mode loads through the same batch write path, so a typed
     target rejects the first failing row, not the first failing column,
@@ -533,10 +535,8 @@ def test_loader_type_error_names_the_first_failing_row(mode):
     database.create_table(TableDef("out", {"a": INT, "b": INT}))
     flow = EtlFlow("t")
     flow.chain(Datastore("src", table="src"), Loader("load", table="out"))
-    options = {"parallel_row_threshold": 0} if mode == "parallel" else {}
-    with Executor(database, mode=mode, **options) as executor:
-        with pytest.raises(ExecutionError) as caught:
-            executor.execute(flow)
+    with pytest.raises(ExecutionError) as caught:
+        Executor(database, mode=mode).execute(flow)
     assert str(caught.value) == (
         "node 'load': attribute 'b': expected integer, got decimal (2.5)"
     )
@@ -555,11 +555,9 @@ def test_loader_type_error_names_the_first_failing_row(mode):
 def test_keyless_join_is_a_cross_product_in_every_mode(
     join_type, right_rows, expected_rows
 ):
-    """A join with no keys pairs every left row with every right row.
-    5,000 left rows pass the default parallel row threshold, so the
-    ``parallel`` mode runs it in chunks."""
+    """A join with no keys pairs every left row with every right row."""
     loads = {}
-    for mode in ("legacy", "columnar", "planned", "parallel"):
+    for mode in ("legacy", "columnar", "planned"):
         database = Database()
         database.create_table(TableDef("l", {"a": INT}))
         database.insert_many("l", [{"a": index} for index in range(5_000)])
@@ -575,8 +573,7 @@ def test_keyless_join_is_a_cross_product_in_every_mode(
         flow.connect("l", "j")
         flow.connect("r", "j")
         flow.connect("j", "load")
-        with Executor(database, mode=mode) as executor:
-            executor.execute(flow)
+        Executor(database, mode=mode).execute(flow)
         loads[mode] = [
             (row["a"], row["b"]) for row in database.scan("out").rows
         ]
@@ -584,4 +581,3 @@ def test_keyless_join_is_a_cross_product_in_every_mode(
     expected = sorted(loads["legacy"], key=repr)
     for mode, rows in loads.items():
         assert sorted(rows, key=repr) == expected, mode
-    assert loads["parallel"] == loads["columnar"]

@@ -1,10 +1,8 @@
-"""Tier-1 smoke test of the engine benchmark runner's report.
+"""Tier-1 smoke tests of the engine benchmark runner's report.
 
-Runs ``benchmarks.run_engine.main`` at a tiny scale with a speedup
-target no host can reach and enough reported cores that the gate is
-enforced.  A missed speedup gate must fail the run without being
-reported as a result mismatch: every configuration's results are
-identical, so the report must say so.
+``benchmarks.run_engine.main`` runs at a tiny scale here.  Its exit
+code is the equivalence gate: 0 when every compared table is identical
+across modes, 1 on any result mismatch.  Timings are never gated.
 """
 
 import json
@@ -12,36 +10,28 @@ import json
 from benchmarks import run_engine
 
 
-def test_missed_speedup_gate_is_not_a_result_mismatch(
-    tmp_path, monkeypatch, capsys
-):
+def tiny_scale(monkeypatch):
     monkeypatch.setattr(run_engine, "SCALE_FACTORS", (0.05,))
     monkeypatch.setattr(run_engine, "PLANNER_SCALE_FACTOR", 0.05)
-    monkeypatch.setattr(run_engine, "PARALLEL_SCALE_FACTOR", 0.05)
     monkeypatch.setattr(run_engine, "ROUNDS", 1)
-    monkeypatch.setattr(run_engine, "PARALLEL_SPEEDUP_TARGET", 1e9)
-    monkeypatch.setattr(run_engine.os, "cpu_count", lambda: 64)
+
+
+def test_exit_code_is_the_equivalence_gate(tmp_path, monkeypatch, capsys):
+    tiny_scale(monkeypatch)
     output = tmp_path / "engine.json"
 
-    assert run_engine.main(["--output", str(output)]) == 1
+    assert run_engine.main(["--output", str(output)]) == 0
+    assert json.loads(output.read_text())["all_results_identical"]
+    assert "MISMATCH" not in capsys.readouterr().err
 
-    report = json.loads(output.read_text())
-    parallel = report["parallel_comparison"]
-    assert report["all_results_identical"]
-    assert parallel["results_identical"]
-    configurations = list(parallel["pools"]["thread"].values())
-    assert [entry["workers"] for entry in configurations] == list(
-        run_engine.PARALLEL_WORKER_SWEEP
-    )
-    for entry in configurations:
-        assert entry["results_identical"]
-        assert entry["speedup_gate_enforced"]
-    misses = parallel["speedup_gate_misses"]
-    assert len(misses) == len(configurations)
-    assert all("below the" in miss for miss in misses)
-    err = capsys.readouterr().err
-    assert "GATE MISS" in err
-    assert "MISMATCH" not in err
+    def mismatch(name, snapshots, mismatches, modes=("legacy", "columnar")):
+        mismatches.append(f"{name}: injected")
+
+    monkeypatch.setattr(run_engine, "compare_snapshots", mismatch)
+
+    assert run_engine.main(["--output", str(output)]) == 1
+    assert not json.loads(output.read_text())["all_results_identical"]
+    assert "MISMATCH" in capsys.readouterr().err
 
 
 def test_ingest_section_reports_rates_and_gates_on_the_data(monkeypatch):
@@ -76,13 +66,10 @@ def test_ingest_gate_reports_a_table_that_differs(monkeypatch):
 
 
 def test_report_starts_with_host_facts(tmp_path, monkeypatch):
-    monkeypatch.setattr(run_engine, "SCALE_FACTORS", (0.05,))
-    monkeypatch.setattr(run_engine, "PLANNER_SCALE_FACTOR", 0.05)
-    monkeypatch.setattr(run_engine, "PARALLEL_SCALE_FACTOR", 0.05)
-    monkeypatch.setattr(run_engine, "ROUNDS", 1)
+    tiny_scale(monkeypatch)
     output = tmp_path / "engine.json"
 
-    run_engine.main(["--output", str(output)])
+    assert run_engine.main(["--output", str(output)]) == 0
 
     report = json.loads(output.read_text())
     assert list(report)[0] == "host"

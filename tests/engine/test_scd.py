@@ -1,9 +1,9 @@
-"""The SCD merge operator, pinned against all four execution modes.
+"""The SCD merge operator, pinned against all three execution modes.
 
 The kernel (:func:`repro.engine.scd.scd_merge`) is one pure function
 shared by every mode, so dimension history must be *byte-identical* —
 same row order, same window values — whether the flow runs legacy,
-columnar, planned or parallel.  The semantics tests drive two
+columnar or planned.  The semantics tests drive two
 consecutive loads (initial + changed members) and check the pygrametl
 contract: type1 overwrites in place, type2 closes the current row and
 opens a versioned one, and a third load with unchanged members is a
@@ -23,7 +23,7 @@ from repro.expressions import ScalarType
 INT = ScalarType.INTEGER
 STR = ScalarType.STRING
 
-MODES = ("legacy", "columnar", "planned", "parallel")
+MODES = ("legacy", "columnar", "planned")
 
 DATE = datetime.date.fromisoformat
 

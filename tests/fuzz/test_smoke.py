@@ -9,6 +9,8 @@ seed — reproduce it interactively with
 
 from pathlib import Path
 
+import pytest
+
 from repro.fuzz import corpus
 from repro.fuzz.evolveoracle import build_evolve_trial
 from repro.fuzz.flowgen import build_flow_trial
@@ -30,7 +32,7 @@ def test_fixed_seed_budget_finds_no_divergence():
         for failure in report["failures"]
     ]
     assert not details, "\n".join(details)
-    assert report["trials"] == 6 * SMOKE_SEEDS
+    assert report["trials"] == 5 * SMOKE_SEEDS
 
 
 def test_trials_are_deterministic():
@@ -73,3 +75,14 @@ def test_corpus_round_trips_through_json():
             if key == "seed":
                 continue
             assert again.get(key) == entry[key], (path.name, key)
+
+
+def test_retired_parallel_kind_is_rejected():
+    """An old failure file of the retired ``parallel`` kind must fail
+    loudly, not replay as some other check."""
+    entry = corpus.flow_entry(build_flow_trial(7))
+    entry["kind"] = "parallel"
+    with pytest.raises(
+        ValueError, match="unknown corpus entry kind 'parallel'"
+    ):
+        corpus.replay(entry)
