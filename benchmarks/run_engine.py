@@ -4,12 +4,9 @@ Runs the TPC-H executor workloads (the S1 revenue flow and the S2
 integrated/partial flows built from ``benchmarks/_workloads.py``) at
 several scale factors in BOTH executor modes, plus the A1-equivalence
 micro-workload, and writes ``BENCH_engine.json`` with both timings.
-It also compares unplanned columnar execution against the cost-based
-``planned`` mode on join-order-sensitive flows (selection pushdown,
-join reordering, build-side choice), gated on quantised row-multiset
-equivalence.  An ingest section times the database's
-write path: ``load_source`` of every TPC-H source and a ``lineitem``
-reload, in rows/s as median and IQR over the rounds.
+An ingest section times the database's write path: ``load_source`` of
+every TPC-H source and a ``lineitem`` reload, in rows/s as median and
+IQR over the rounds.
 
 The runner is also the equivalence gate for the compiled columnar
 engine: after every workload it compares the loaded warehouse tables of
@@ -44,16 +41,7 @@ except ModuleNotFoundError:  # running from a source checkout
     )
 
 from repro.engine import Database, Executor, TableDef
-from repro.etlmodel.flow import EtlFlow
-from repro.etlmodel.ops import (
-    Datastore,
-    DerivedAttribute,
-    Join,
-    Loader,
-    Selection,
-)
 from repro.expressions import ScalarType
-from repro.fuzz.planoracle import quantized_multiset
 from repro.sources import tpch
 
 from benchmarks.bench_a1_equivalence import (
@@ -66,10 +54,6 @@ from benchmarks.conftest import make_database
 SCALE_FACTORS = (0.25, 0.5, 1.0, 2.0)
 ROUNDS = 5
 MODES = ("legacy", "columnar")
-
-#: Scale factor of the planner scenarios — larger than the mode-parity
-#: sweep so join-order effects dominate fixed per-execution overheads.
-PLANNER_SCALE_FACTOR = 4.0
 
 
 def loaded_tables(flow):
@@ -88,16 +72,7 @@ def row_multiset(database, tables):
     }
 
 
-def quantized_snapshot(database, tables):
-    """{table: quantised multiset} — tolerant of accumulation-order
-    float noise, which join reordering legitimately introduces."""
-    return {
-        table: quantized_multiset(database.scan(table).rows)
-        for table in tables
-    }
-
-
-def time_flows(database, flows, mode, snapshot=row_multiset):
+def time_flows(database, flows, mode):
     """Best-of-rounds wall-clock of executing ``flows`` in ``mode``.
 
     Returns (seconds, snapshot of every loaded table).  The flows'
@@ -115,11 +90,11 @@ def time_flows(database, flows, mode, snapshot=row_multiset):
         for flow in flows:
             executor.execute(flow)
         best = min(best, time.perf_counter() - started)
-    return best, snapshot(database, tables)
+    return best, row_multiset(database, tables)
 
 
-def compare_snapshots(name, snapshots, mismatches, modes=("legacy", "columnar")):
-    baseline, candidate = snapshots[modes[0]], snapshots[modes[1]]
+def compare_snapshots(name, snapshots, mismatches):
+    baseline, candidate = snapshots["legacy"], snapshots["columnar"]
     for table in sorted(set(baseline) | set(candidate)):
         if baseline.get(table) != candidate.get(table):
             mismatches.append(f"{name}: table {table!r} differs across modes")
@@ -160,120 +135,6 @@ def run_tpch_workloads(mismatches):
             )
         results[str(scale_factor)] = per_workload
     return results
-
-
-def planner_join_order_flow(nation_key):
-    """A join-order-sensitive flow, written in its worst order.
-
-    As authored, every lineitem row is joined against the (wide) part
-    table before the selective supplier filter applies.  The planner
-    pushes the ``s_nationkey`` selection below both joins and reorders
-    the chain so the filtered supplier join runs first, shrinking the
-    expensive wide join from the full lineitem table to the few rows
-    that survive the filter.  All three source payloads reach the
-    loader, so column pruning cannot erase the difference — the speedup
-    is the join order.
-    """
-    flow = EtlFlow("planner_join_order")
-    flow.add(Datastore("src_lineitem", table="lineitem"))
-    flow.add(Datastore("src_part", table="part"))
-    flow.add(Datastore("src_supplier", table="supplier"))
-    flow.add(
-        Join("j_part", left_keys=("l_partkey",), right_keys=("p_partkey",))
-    )
-    flow.add(
-        Join("j_supp", left_keys=("l_suppkey",), right_keys=("s_suppkey",))
-    )
-    flow.add(
-        Selection("only_nation", predicate=f"s_nationkey = {nation_key}")
-    )
-    flow.add(
-        DerivedAttribute(
-            "revenue",
-            output="revenue",
-            expression="l_extendedprice * (1 - l_discount)",
-        )
-    )
-    flow.add(
-        Loader("load_out", table="bench_planner_join_order", mode="replace")
-    )
-    flow.connect("src_lineitem", "j_part")
-    flow.connect("src_part", "j_part")
-    flow.connect("j_part", "j_supp")
-    flow.connect("src_supplier", "j_supp")
-    flow.connect("j_supp", "only_nation")
-    flow.connect("only_nation", "revenue")
-    flow.connect("revenue", "load_out")
-    return flow
-
-
-def planner_build_side_flow():
-    """A join that hashes its huge input as authored: supplier is the
-    probe side, lineitem the build side.  The planner flips the sides
-    so the hash table is built over suppliers instead."""
-    flow = EtlFlow("planner_build_side")
-    flow.add(Datastore("src_supplier", table="supplier"))
-    flow.add(Datastore("src_lineitem", table="lineitem"))
-    flow.add(
-        Join("j_supp", left_keys=("s_suppkey",), right_keys=("l_suppkey",))
-    )
-    flow.add(
-        Loader("load_out", table="bench_planner_build_side", mode="replace")
-    )
-    flow.connect("src_supplier", "j_supp")
-    flow.connect("src_lineitem", "j_supp")
-    flow.connect("j_supp", "load_out")
-    return flow
-
-
-def run_planner_comparison(mismatches):
-    """Unplanned columnar vs cost-based-planned on planner-sensitive
-    flows, with quantised-multiset equivalence gating."""
-    database = make_database(PLANNER_SCALE_FACTOR)
-    nation_counts = Counter(
-        row["s_nationkey"] for row in database.scan("supplier").rows
-    )
-    nation_key = nation_counts.most_common(1)[0][0]
-    scenarios = {
-        "join_order": planner_join_order_flow(nation_key),
-        "build_side": planner_build_side_flow(),
-    }
-    results = {}
-    for name, flow in scenarios.items():
-        timings, snapshots = {}, {}
-        for mode in ("columnar", "planned"):
-            timings[mode], snapshots[mode] = time_flows(
-                database, [flow], mode, snapshot=quantized_snapshot
-            )
-        compare_snapshots(
-            f"planner {name}",
-            snapshots,
-            mismatches,
-            modes=("columnar", "planned"),
-        )
-        executor = Executor(database, mode="planned")
-        executor.execute(flow)
-        results[name] = {
-            "columnar_seconds": timings["columnar"],
-            "planned_seconds": timings["planned"],
-            "speedup": timings["columnar"] / timings["planned"],
-            "results_identical": not any(
-                m.startswith(f"planner {name}") for m in mismatches
-            ),
-            "decisions": list(executor.last_plan.decisions),
-        }
-        print(
-            f"  SF {PLANNER_SCALE_FACTOR:<5} {name:<14} "
-            f"unplanned {timings['columnar'] * 1000:8.1f}ms  "
-            f"planned {timings['planned'] * 1000:8.1f}ms  "
-            f"speedup {results[name]['speedup']:.2f}x"
-        )
-    return {
-        "modes": ["columnar", "planned"],
-        "scale_factor": PLANNER_SCALE_FACTOR,
-        "scenarios": results,
-        "join_order_speedup": results["join_order"]["speedup"],
-    }
 
 
 def rows_per_second(rows, seconds):
@@ -431,8 +292,6 @@ def main(argv=None) -> int:
     mismatches: list = []
     print("engine-core benchmark: legacy interpreter vs compiled columnar")
     by_scale_factor = run_tpch_workloads(mismatches)
-    print("planner benchmark: unplanned columnar vs cost-based planned")
-    planner = run_planner_comparison(mismatches)
     a1 = run_a1_equivalence(mismatches)
     print("ingest benchmark: the database's validated write path")
     ingest = run_ingest(mismatches)
@@ -445,7 +304,6 @@ def main(argv=None) -> int:
         "rounds": ROUNDS,
         "timing": "best of rounds, after one warmup execution",
         "scale_factors": by_scale_factor,
-        "planner_comparison": planner,
         "a1_equivalence": a1,
         "ingest": ingest,
         "largest_scale_factor": largest,

@@ -102,7 +102,7 @@ class YieldEvent:
 class FunctionInfo:
     """One function or method with its extracted event stream."""
 
-    key: str  # "repro.engine.stats:StatisticsCatalog.table_stats"
+    key: str  # "repro.repository.documents:Collection.insert"
     module: str  # repo-relative posix path
     dotted: str  # dotted module name
     qualname: str  # "Class.method" or "function"

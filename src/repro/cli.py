@@ -154,25 +154,11 @@ def command_ddl(args) -> int:
 
 def command_explain(args) -> int:
     from repro.etlmodel.cost import CostModel
-    from repro.etlmodel.explain import explain, explain_plan
+    from repro.etlmodel.explain import explain
 
     quarry = _load_quarry(args)
     __, etl = quarry.unified_design()
-    if not getattr(args, "planned", False):
-        print(explain(etl, cost_model=CostModel()), end="")
-        return 0
-    # --planned: load the TPC-H sources, run the unified flow through
-    # the cost-based planner and show estimated vs. actual cardinalities.
-    from repro.engine import Database
-    from repro.engine.executor import Executor
-
-    database = Database()
-    database.load_source(
-        tpch.schema(), tpch.generate(scale_factor=args.scale_factor)
-    )
-    executor = Executor(database, mode="planned")
-    stats = executor.execute(etl)
-    print(explain_plan(executor.last_plan, stats), end="")
+    print(explain(etl, cost_model=CostModel()), end="")
     return 0
 
 
@@ -274,18 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         "explain", help="print the unified ETL operator tree"
     )
     add_store_args(explain)
-    explain.add_argument(
-        "--planned",
-        action="store_true",
-        help="execute the flow in planned mode against generated TPC-H "
-        "data and show estimated vs. actual cardinalities (q-error)",
-    )
-    explain.add_argument(
-        "--scale-factor",
-        type=float,
-        default=0.3,
-        help="TPC-H scale factor for --planned (default 0.3)",
-    )
     explain.set_defaults(handler=command_explain)
 
     status = subparsers.add_parser("status", help="summarise the design")

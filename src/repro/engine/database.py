@@ -84,9 +84,6 @@ class _Table:
         #: ``scan_columns`` never changes under its reader.
         self.snapshot = _empty_snapshot(definition)
         self._pk_index: set = set()
-        #: Bumped on every write; statistics caches key on it, so stale
-        #: table stats are detected without comparing contents.
-        self.generation: int = 0
 
 
 def _empty_snapshot(definition: TableDef) -> ColumnarRelation:
@@ -205,7 +202,6 @@ class Database:
         table = self._lookup(table_name)
         table.snapshot = _empty_snapshot(table.definition)
         table._pk_index = set()
-        table.generation += 1
 
     def _write(
         self, table: _Table, columns: Dict[str, list], length: int
@@ -247,7 +243,6 @@ class Database:
             )
             if keys is not None:
                 table._pk_index.update(keys[:valid])
-            table.generation += 1
         return valid
 
     def _reject(self, table: _Table, row) -> None:
@@ -306,10 +301,6 @@ class Database:
 
     def row_count(self, table_name: str) -> int:
         return self._lookup(table_name).snapshot.length
-
-    def table_generation(self, table_name: str) -> int:
-        """The table's write generation (see :class:`_Table`)."""
-        return self._lookup(table_name).generation
 
     def row_counts(self) -> Dict[str, int]:
         return {

@@ -5,7 +5,7 @@ Runs an :class:`repro.etlmodel.flow.EtlFlow` against a
 wall-clock time and throughput, so the "overall execution time" quality
 factor of the demo can be *measured*, not only estimated.
 
-Three execution modes share one serial dispatch skeleton:
+Two execution modes share one serial dispatch skeleton:
 
 * ``"columnar"`` (default) — the compiled-columnar core: operations run
   over :class:`repro.engine.columnar.ColumnarRelation` column arrays,
@@ -17,11 +17,6 @@ Three execution modes share one serial dispatch skeleton:
 * ``"legacy"`` — the original row-at-a-time interpreter over dict rows,
   kept as the semantic reference: ``benchmarks/run_engine`` gates the
   columnar path on bit-identical results against this mode.
-* ``"planned"`` — the columnar core behind the statistics-driven
-  cost-based rewrite pipeline of :mod:`repro.planner`: the flow is
-  rewritten (selection/projection pushdown, join reordering, build-side
-  choice) before execution and per-node cardinality estimates are
-  attached to the stats for q-error reporting.
 
 Structural bookkeeping is shared and cheap: the topological order is
 computed once per ``execute()`` and intermediate results are released by
@@ -79,8 +74,6 @@ class NodeStats:
     input_rows: int
     output_rows: int
     seconds: float
-    #: The planner's cardinality estimate (``planned`` mode only).
-    estimated_rows: Optional[float] = None
 
     @property
     def rows_per_second(self) -> float:
@@ -89,17 +82,6 @@ class NodeStats:
         if self.seconds <= 0.0:
             return 0.0
         return rows / self.seconds
-
-    @property
-    def q_error(self) -> Optional[float]:
-        """The q-error of the planner's estimate: ``max(est/act, act/est)``
-        with both sides floored at one row, so 1.0 is a perfect estimate.
-        ``None`` outside ``planned`` mode."""
-        if self.estimated_rows is None:
-            return None
-        estimated = max(self.estimated_rows, 1.0)
-        actual = max(float(self.output_rows), 1.0)
-        return max(estimated / actual, actual / estimated)
 
 
 @dataclass
@@ -163,14 +145,12 @@ class Executor:
     """Executes ETL flows against a database.
 
     ``mode`` selects the execution core: ``"columnar"`` (default, the
-    compiled-columnar engine), ``"planned"`` (the columnar engine behind
-    the cost-based rewrite pipeline of :mod:`repro.planner`) or
-    ``"legacy"`` (the row-at-a-time reference interpreter).  All three
-    produce identical results.
+    compiled-columnar engine) or ``"legacy"`` (the row-at-a-time
+    reference interpreter).  Both produce identical results.
     """
 
     def __init__(self, database: Database, mode: str = "columnar") -> None:
-        if mode not in ("columnar", "legacy", "planned"):
+        if mode not in ("columnar", "legacy"):
             raise ValueError(f"unknown executor mode {mode!r}")
         self._database = database
         self.mode = mode
@@ -178,12 +158,6 @@ class Executor:
         self._dispatch: Dict[str, Callable] = {
             kind: getattr(self, attr) for kind, attr in table.items()
         }
-        #: The last plan produced in ``planned`` mode (for explain/tests).
-        self.last_plan = None
-        #: Statistics catalog shared across executions: its generation
-        #: counters invalidate per-table, so repeated runs against the
-        #: same sources reuse their histograms instead of rescanning.
-        self._stats_catalog = None
 
     def execute(
         self, flow: EtlFlow, keep_intermediate: bool = False
@@ -194,19 +168,6 @@ class Executor:
         naming the failing node.
         """
         flow.check()
-        plan = None
-        if self.mode == "planned":
-            # Imported lazily: the planner imports the ``repro.engine``
-            # package, whose ``__init__`` imports this module, so a
-            # top-level import would cycle.
-            from repro.engine.stats import StatisticsCatalog
-            from repro.planner import plan_flow
-
-            if self._stats_catalog is None:
-                self._stats_catalog = StatisticsCatalog(self._database)
-            plan = plan_flow(flow, self._stats_catalog)
-            flow = plan.flow
-        self.last_plan = plan
         stats = ExecutionStats(flow=flow.name)
         relations: Dict[str, object] = {}
         order = flow.topological_order()
@@ -218,17 +179,6 @@ class Executor:
         members: frozenset = frozenset()
         if self.mode != "legacy" and not keep_intermediate:
             chains, members = fusion_plan(flow, order, inputs_of)
-            if plan is not None and plan.no_fuse:
-                chains = {
-                    head: chain
-                    for head, chain in chains.items()
-                    if head not in plan.no_fuse
-                }
-                members = frozenset(
-                    member
-                    for chain in chains.values()
-                    for member in chain[1:]
-                )
         started = time.perf_counter()
         for name in order:
             if name in members:
@@ -270,11 +220,6 @@ class Executor:
                 if consumers_left.get(stored, 0) == 0:
                     relations.pop(stored, None)
         stats.seconds = time.perf_counter() - started
-        if plan is not None:
-            for node_stats in stats.nodes:
-                node_stats.estimated_rows = plan.estimates.get(
-                    node_stats.name
-                )
         if keep_intermediate:
             self.relations = relations
         return stats
@@ -691,8 +636,8 @@ class Executor:
         table (first load, or a policy change) starts fresh history —
         the downstream replace-mode loader rebuilds the table anyway.
         The row-level merge itself is the pure, mode-independent
-        :func:`repro.engine.scd.scd_merge`, keeping all three engine
-        modes byte-identical.
+        :func:`repro.engine.scd.scd_merge`, keeping both engine modes
+        byte-identical.
         """
         from repro.etlmodel.propagation import _scd_schema
 

@@ -48,9 +48,6 @@ def fusion_plan(
     DerivedAttribute/Rename nodes where each link is the sole
     consumer of its predecessor.  Returns ``{head: [chain...]}``
     plus the set of non-head members to skip in the main loop.
-
-    The planner calls it too, to anticipate which chains the engine
-    will fuse (its fusion veto keys on the chain heads found here).
     """
     chains: Dict[str, List[str]] = {}
     absorbed: set = set()

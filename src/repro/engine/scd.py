@@ -1,10 +1,9 @@
 """The slowly-changing-dimension merge kernel.
 
 One pure function, :func:`scd_merge`, shared verbatim by the legacy
-row-at-a-time interpreter and the columnar engine (and therefore by the
-planned mode, which reuses the columnar kernel), so all three
-execution modes produce byte-identical dimension history — same row
-order, same window values, same errors.
+row-at-a-time interpreter and the columnar engine, so both execution
+modes produce byte-identical dimension history — same row order, same
+window values, same errors.
 
 The merge follows pygrametl's ``SlowlyChangingDimension``:
 

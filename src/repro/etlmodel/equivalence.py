@@ -228,6 +228,8 @@ def prune_columns(flow: EtlFlow) -> EtlFlow:
             if req is None or not req < columns or len(columns) - len(req) < 2:
                 continue
             counter += 1
+            while result.has_node(f"PRUNE_{counter}_{name}"):
+                counter += 1  # the flow was pruned before
             result.insert_between(
                 name,
                 consumer,

@@ -75,69 +75,6 @@ def _render(flow, name, depth, lines, expanded, report) -> None:
         _render(flow, source, depth + 1, lines, expanded, report)
 
 
-def explain_plan(plan, stats=None) -> str:
-    """Render a cost-based :class:`repro.planner.rewrite.Plan`.
-
-    Shows the rewritten operator tree annotated with the planner's
-    estimated cardinalities; when the flow has been executed, pass the
-    run's :class:`repro.engine.executor.ExecutionStats` to add actual
-    row counts and the per-node q-error (``max(est/act, act/est)``, 1.0
-    is a perfect estimate).  Planner decisions (pushdowns, join
-    reorders, build-side flips, fusion vetoes) are listed after the
-    tree; a fallback reason means the flow runs unrewritten.
-    """
-    flow = plan.flow
-    actual: Dict[str, int] = {}
-    q_errors: Dict[str, float] = {}
-    if stats is not None:
-        for node_stats in stats.nodes:
-            actual[node_stats.name] = node_stats.output_rows
-            if node_stats.q_error is not None:
-                q_errors[node_stats.name] = node_stats.q_error
-    lines: List[str] = [f"Plan for flow '{flow.name}'"]
-    expanded: set = set()
-    for sink in flow.sinks():
-        lines.append("")
-        _render_plan(flow, sink, 0, lines, expanded, plan, actual, q_errors)
-    if plan.fallback is not None:
-        lines.append("")
-        lines.append(f"fallback (flow runs unrewritten): {plan.fallback}")
-    elif plan.decisions:
-        lines.append("")
-        lines.append("decisions:")
-        for decision in plan.decisions:
-            lines.append(f"  - {decision}")
-    else:
-        lines.append("")
-        lines.append("decisions: none (flow already in planned form)")
-    return "\n".join(lines) + "\n"
-
-
-def _render_plan(
-    flow, name, depth, lines, expanded, plan, actual, q_errors
-) -> None:
-    operation = flow.node(name)
-    parts = []
-    estimate = plan.estimates.get(name)
-    if estimate is not None:
-        parts.append(f"est={estimate:,.0f}")
-    if name in actual:
-        parts.append(f"act={actual[name]:,}")
-    if name in q_errors:
-        parts.append(f"q={q_errors[name]:.2f}")
-    annotation = f"  [{', '.join(parts)}]" if parts else ""
-    pad = "  " * depth
-    if name in expanded:
-        lines.append(f"{pad}^see {name}")
-        return
-    expanded.add(name)
-    lines.append(f"{pad}{name} {_describe(operation)}{annotation}")
-    for source in flow.inputs(name):
-        _render_plan(
-            flow, source, depth + 1, lines, expanded, plan, actual, q_errors
-        )
-
-
 def _describe(operation: Operation) -> str:
     """A one-line summary of an operation's parameters."""
     if isinstance(operation, Datastore):

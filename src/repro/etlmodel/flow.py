@@ -142,30 +142,6 @@ class EtlFlow:
                 return
         raise EtlError(f"no edge {source!r} -> {target!r}")
 
-    def rewire(self, replacements: Dict[Tuple[str, str], Tuple[str, str]]) -> None:
-        """Re-point edges where they stand.
-
-        Each edge whose ``(source, target)`` is a key of ``replacements``
-        becomes the mapped edge at the same position in the edge list,
-        so the input-slot order of binary targets (join left/right) is
-        kept.  Raises, leaving the flow unchanged, when a new endpoint
-        is unknown or the result would hold a duplicate edge.
-        """
-        for pair in replacements.values():
-            for endpoint in pair:
-                if endpoint not in self._nodes:
-                    raise UnknownOperationError(endpoint)
-        rewired = [
-            Edge(*replacements[(edge.source, edge.target)])
-            if (edge.source, edge.target) in replacements
-            else edge
-            for edge in self._edges
-        ]
-        if len({(edge.source, edge.target) for edge in rewired}) != len(rewired):
-            raise EtlError("rewiring would duplicate an edge")
-        self._edges = rewired
-        self._index = None
-
     def chain(self, *operations: Operation) -> Operation:
         """Add operations and connect them linearly; returns the last."""
         previous: Optional[Operation] = None

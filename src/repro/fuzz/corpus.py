@@ -4,19 +4,17 @@ Every shrunk failure the fuzzer finds can be serialised to a small JSON
 document and committed under ``tests/fuzz/corpus/``; the tier-1 smoke
 test replays every entry on each run, so a fixed bug stays fixed.
 
-Five entry kinds:
+Four entry kinds:
 
 * ``"flow"`` — source tables (schema + rows) and the flow as xLM text;
   replay runs the full differential flow check.
 * ``"lint"`` — same payload as ``"flow"``; replay runs the
   static/dynamic agreement check (linter versus engine) instead.
-* ``"planned"`` — same payload as ``"flow"``; replay runs the
-  planner-equivalence check (planned versus unplanned execution).
 * ``"query"`` — documents, query, sort key and limit; replay runs the
   document-store check against the naive reference.
 * ``"evolve"`` — SCD policy assignment plus a design script (adds,
   removals and evolution operators) over the TPC-H domain; replay
-  checks incremental evolution against replay, rebuild and the three
+  checks incremental evolution against replay, rebuild and both
   engine modes.
 
 Dates are tagged ``{"$date": "YYYY-MM-DD"}`` since JSON has no date
@@ -36,7 +34,6 @@ from repro.fuzz.evolveoracle import EvolveTrial, check_evolve_trial
 from repro.fuzz.flowgen import FlowTrial
 from repro.fuzz.lintoracle import LintTrial, check_lint_trial
 from repro.fuzz.oracle import check_flow_trial, check_query_trial
-from repro.fuzz.planoracle import PlanTrial, check_plan_trial
 from repro.fuzz.querygen import QueryTrial
 from repro.xformats import xlm
 
@@ -113,12 +110,6 @@ def lint_entry(trial, description: str = "") -> dict:
     return entry
 
 
-def plan_entry(trial, description: str = "") -> dict:
-    entry = flow_entry(trial, description)
-    entry["kind"] = "planned"
-    return entry
-
-
 def evolve_entry(trial: EvolveTrial, description: str = "") -> dict:
     return {
         "kind": "evolve",
@@ -133,8 +124,6 @@ def encode_trial(trial, description: str = "") -> dict:
     # Subclasses of FlowTrial must be tested before the base class.
     if isinstance(trial, LintTrial):
         return lint_entry(trial, description)
-    if isinstance(trial, PlanTrial):
-        return plan_entry(trial, description)
     if isinstance(trial, FlowTrial):
         return flow_entry(trial, description)
     if isinstance(trial, EvolveTrial):
@@ -158,11 +147,8 @@ def _decode_tables(entry: dict) -> List[TableSpec]:
 
 def decode_entry(entry: dict):
     """An entry dict back into the trial object it froze."""
-    if entry["kind"] in ("flow", "lint", "planned"):
-        trial_class = {
-            "lint": LintTrial,
-            "planned": PlanTrial,
-        }.get(entry["kind"], FlowTrial)
+    if entry["kind"] in ("flow", "lint"):
+        trial_class = LintTrial if entry["kind"] == "lint" else FlowTrial
         return trial_class(
             tables=_decode_tables(entry),
             flow=xlm.loads(entry["xlm"]),
@@ -198,8 +184,6 @@ def replay(entry: dict) -> Optional[str]:
     trial = decode_entry(entry)
     if isinstance(trial, LintTrial):
         return check_lint_trial(trial)
-    if isinstance(trial, PlanTrial):
-        return check_plan_trial(trial)
     if isinstance(trial, FlowTrial):
         return check_flow_trial(trial)
     if isinstance(trial, EvolveTrial):

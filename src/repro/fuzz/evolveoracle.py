@@ -14,10 +14,10 @@ session.  Three things must then hold:
   (``replay_unified_design``) must reproduce the evolved design — the
   typed ``partial.replaced`` envelopes carry enough to reconstruct it.
 * **Mode parity.**  The final design's ETL executes on a generated
-  TPC-H micro-database in all three engine modes; dimension tables
-  (where the SCD merge writes) must be *byte-identical* across modes,
-  fact tables must agree as quantised multisets (the planner may
-  legitimately reorder fact rows, never dimension history).
+  TPC-H micro-database in both engine modes; every loaded table,
+  dimension history included, must hold the same rows in the same
+  order with the same types, and a failing run must fail with the same
+  error text.
 
 Scripts may contain ops that fail (merging concepts on different
 tables, retypes that break a requirement's expression typing): the
@@ -29,7 +29,6 @@ as a note and keeps going.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -45,7 +44,7 @@ _EFFECTIVE_DATE = "2024-06-01"
 #: Scale factor for the mode-parity micro-database.
 _SCALE = 0.1
 
-_MODES = ("legacy", "columnar", "planned")
+_MODES = ("legacy", "columnar")
 
 #: Retype targets the generator draws from.
 _RETYPE_TYPES = ("integer", "decimal", "string", "boolean")
@@ -319,21 +318,18 @@ def _apply(quarry: Quarry, op: dict) -> None:
 
 
 def _mode_outcomes(md_schema, etl_flow, mode: str):
-    """Run the design's ETL in one mode; per-table fingerprints.
+    """Run the design's ETL in one mode; per-table canonical rows.
 
-    *Versioned* dimension tables (any non-TYPE0 level) fingerprint as
-    the exact row values in canonical order — every SCD window column
-    (version, validity dates, current flag) must match to the byte,
-    while row order may follow upstream joins the planner reorders.
-    Other targets compare as quantised multisets (planner rewrites may
-    also reassociate float accumulation in measures).
+    Every target compares through
+    :func:`repro.fuzz.oracle.canonical_rows`: ordered rows with their
+    types visible, so every SCD window column (version, validity dates,
+    current flag) and every measure must match to the byte.
     """
-    from repro.core.deployer import Deployer, ddl
+    from repro.core.deployer import Deployer
     from repro.engine.database import Database
     from repro.engine.executor import Executor
     from repro.etlmodel.equivalence import prune_columns
-    from repro.fuzz.planoracle import quantized_multiset
-    from repro.mdmodel.model import SCDPolicy
+    from repro.fuzz.oracle import canonical_rows
 
     database = Database()
     database.load_source(tpch.schema(), tpch.generate(_SCALE, seed=7))
@@ -342,32 +338,17 @@ def _mode_outcomes(md_schema, etl_flow, mode: str):
     try:
         Executor(database, mode=mode).execute(flow)
     except Exception as exc:  # error parity is part of the contract
-        # Elide quoted example values: which offending row an error
-        # reports first is data-position-dependent, and the planner may
-        # legitimately reach rows in a different order.
-        message = re.sub(r"\('.*?'\)", "(<value>)", str(exc))
-        return ("error", f"{type(exc).__name__}: {message}")
-    versioned_tables = {
-        ddl.dimension_table_name(dimension)
-        for dimension in md_schema.dimensions.values()
-        if any(
-            level.scd_policy is not SCDPolicy.TYPE0
-            for level in dimension.levels.values()
-        )
-    }
+        return ("error", f"{type(exc).__name__}: {exc}")
     targets = sorted(
         {node.table for node in flow.nodes() if node.kind == "Loader"}
     )
-    outcome = {}
-    for target in targets:
-        rows = database.scan(target).rows
-        if target in versioned_tables:
-            outcome[target] = sorted(
-                repr(sorted(row.items())) for row in rows
-            )
-        else:
-            outcome[target] = quantized_multiset(rows)
-    return ("ok", outcome)
+    return (
+        "ok",
+        {
+            target: canonical_rows(database.scan(target).rows)
+            for target in targets
+        },
+    )
 
 
 def check_evolve_trial(trial: EvolveTrial) -> Optional[str]:

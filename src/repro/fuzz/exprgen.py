@@ -63,18 +63,8 @@ def _value(
     schema: Dict[str, ScalarType],
     scalar_type: ScalarType,
     depth: int,
-    allow_division: bool = True,
 ) -> str:
-    """A value expression of (roughly) the given type.
-
-    ``allow_division=False`` restricts arithmetic to total operators
-    (no ``/`` or ``%``), for trial kinds whose oracle requires every
-    expression to be evaluation-safe regardless of the data it sees
-    (the planner moves expressions across the flow, so a data-dependent
-    ``ZeroDivisionError`` would fire at a different point).  The default
-    keeps the historical operator pool, so existing seeds reproduce
-    byte-identical trials.
-    """
+    """A value expression of (roughly) the given type."""
     columns = _columns_of(schema, (scalar_type,))
     if scalar_type is ScalarType.DECIMAL:
         # Integers are acceptable decimals — widen the column pool.
@@ -90,10 +80,9 @@ def _value(
     if kind == "column":
         return rng.choice(columns)
     if kind == "arith":
-        operators = ["+", "-", "*", "/", "%"] if allow_division else ["+", "-", "*"]
-        operator = rng.choice(operators)
-        left = _value(rng, schema, scalar_type, depth - 1, allow_division)
-        right = _value(rng, schema, scalar_type, depth - 1, allow_division)
+        operator = rng.choice(["+", "-", "*", "/", "%"])
+        left = _value(rng, schema, scalar_type, depth - 1)
+        right = _value(rng, schema, scalar_type, depth - 1)
         return f"({left} {operator} {right})"
     if kind == "function":
         candidates = [
@@ -104,7 +93,7 @@ def _value(
         ]
         if candidates:
             name, argument_type = rng.choice(candidates)
-            argument = _value(rng, schema, argument_type, 0, allow_division)
+            argument = _value(rng, schema, argument_type, 0)
             return f"{name}({argument})"
     return _literal(rng, scalar_type)
 
@@ -117,16 +106,12 @@ def _result_of(function: str) -> ScalarType:
     return ScalarType.INTEGER
 
 
-def _comparison(
-    rng: random.Random,
-    schema: Dict[str, ScalarType],
-    allow_division: bool = True,
-) -> str:
+def _comparison(rng: random.Random, schema: Dict[str, ScalarType]) -> str:
     scalar_type = rng.choice(list(_LITERALS))
-    left = _value(rng, schema, scalar_type, 1, allow_division)
+    left = _value(rng, schema, scalar_type, 1)
     if rng.random() < 0.08:
         return f"{left} {rng.choice(['=', '!='])} null"
-    right = _value(rng, schema, scalar_type, 1, allow_division)
+    right = _value(rng, schema, scalar_type, 1)
     return f"{left} {rng.choice(_COMPARATORS)} {right}"
 
 
@@ -146,25 +131,22 @@ def _membership(rng: random.Random, schema: Dict[str, ScalarType]) -> str:
 
 
 def _boolean(
-    rng: random.Random,
-    schema: Dict[str, ScalarType],
-    depth: int,
-    allow_division: bool = True,
+    rng: random.Random, schema: Dict[str, ScalarType], depth: int
 ) -> str:
     roll = rng.random()
     if depth > 0 and roll < 0.25:
         connector = rng.choice(["and", "or"])
-        left = _boolean(rng, schema, depth - 1, allow_division)
-        right = _boolean(rng, schema, depth - 1, allow_division)
+        left = _boolean(rng, schema, depth - 1)
+        right = _boolean(rng, schema, depth - 1)
         return f"({left} {connector} {right})"
     if depth > 0 and roll < 0.32:
-        return f"not ({_boolean(rng, schema, depth - 1, allow_division)})"
+        return f"not ({_boolean(rng, schema, depth - 1)})"
     if roll < 0.45:
         return _membership(rng, schema)
     boolean_columns = _columns_of(schema, (ScalarType.BOOLEAN,))
     if boolean_columns and roll < 0.55:
         return rng.choice(boolean_columns)
-    return _comparison(rng, schema, allow_division)
+    return _comparison(rng, schema)
 
 
 def _validated(
@@ -178,13 +160,11 @@ def _validated(
 
 
 def random_predicate(
-    rng: random.Random,
-    schema: Dict[str, ScalarType],
-    allow_division: bool = True,
+    rng: random.Random, schema: Dict[str, ScalarType]
 ) -> str:
     """A boolean predicate that type-checks under ``schema``."""
     for _ in range(10):
-        candidate = _boolean(rng, schema, depth=2, allow_division=allow_division)
+        candidate = _boolean(rng, schema, depth=2)
         result = _validated(candidate, schema)
         if result is None or result is not ScalarType.BOOLEAN:
             continue
@@ -193,9 +173,7 @@ def random_predicate(
 
 
 def random_derivation(
-    rng: random.Random,
-    schema: Dict[str, ScalarType],
-    allow_division: bool = True,
+    rng: random.Random, schema: Dict[str, ScalarType]
 ) -> Tuple[str, ScalarType]:
     """An expression plus its inferred type (for a DerivedAttribute).
 
@@ -206,9 +184,9 @@ def random_derivation(
     for _ in range(10):
         scalar_type = rng.choice(list(_LITERALS))
         if rng.random() < 0.3:
-            candidate = _boolean(rng, schema, depth=1, allow_division=allow_division)
+            candidate = _boolean(rng, schema, depth=1)
         else:
-            candidate = _value(rng, schema, scalar_type, 2, allow_division)
+            candidate = _value(rng, schema, scalar_type, 2)
         result = _validated(candidate, schema)
         if result is not None:
             return candidate, result

@@ -67,15 +67,9 @@ Entry = Tuple[str, Dict[str, ScalarType]]
 
 
 class _Builder:
-    def __init__(
-        self,
-        rng: random.Random,
-        flow: EtlFlow,
-        allow_division: bool = True,
-    ) -> None:
+    def __init__(self, rng: random.Random, flow: EtlFlow) -> None:
         self.rng = rng
         self.flow = flow
-        self.allow_division = allow_division
         self._counter = 0
         self._column_counter = 0
 
@@ -93,9 +87,7 @@ class _Builder:
 def _selection(builder: _Builder, entry: Entry) -> Entry:
     name, schema = entry
     node = builder.fresh("sel")
-    predicate = exprgen.random_predicate(
-        builder.rng, schema, allow_division=builder.allow_division
-    )
+    predicate = exprgen.random_predicate(builder.rng, schema)
     builder.flow.add(Selection(node, predicate=predicate))
     builder.flow.connect(name, node)
     return node, dict(schema)
@@ -116,9 +108,7 @@ def _projection(builder: _Builder, entry: Entry) -> Entry:
 def _derive(builder: _Builder, entry: Entry) -> Entry:
     name, schema = entry
     node = builder.fresh("der")
-    expression, result_type = exprgen.random_derivation(
-        builder.rng, schema, allow_division=builder.allow_division
-    )
+    expression, result_type = exprgen.random_derivation(builder.rng, schema)
     if schema and builder.rng.random() < 0.15:
         output = builder.rng.choice(list(schema))  # overwrite in place
     else:
@@ -334,19 +324,10 @@ def _weighted_choice(rng: random.Random, weighted):
     return weighted[-1][0]
 
 
-def build_flow(
-    rng: random.Random,
-    tables: List[TableSpec],
-    allow_division: bool = True,
-) -> EtlFlow:
-    """A random structurally-valid flow over the given source tables.
-
-    ``allow_division=False`` keeps every generated expression total (no
-    ``/`` or ``%``), for oracles that rewrite flows and therefore cannot
-    tolerate expressions whose errors depend on *where* they run.
-    """
+def build_flow(rng: random.Random, tables: List[TableSpec]) -> EtlFlow:
+    """A random structurally-valid flow over the given source tables."""
     flow = EtlFlow("fuzz")
-    builder = _Builder(rng, flow, allow_division=allow_division)
+    builder = _Builder(rng, flow)
     sources = list(tables)
     if rng.random() < 0.3:
         sources.append(rng.choice(tables))  # scan one table twice

@@ -1,10 +1,10 @@
 """The fuzzing loop and the ``python -m repro.fuzz`` command line.
 
 Each integer seed yields one flow trial, one query trial, one lint
-trial (static/dynamic agreement), one planner trial (planned versus
-unplanned execution) and one evolve trial (incremental design
-evolution versus full rebuild), all fully determined by the seed
-(string-seeded RNG, stable across platforms and ``PYTHONHASHSEED``).  Failures are shrunk and written as corpus-format
+trial (static/dynamic agreement) and one evolve trial (incremental
+design evolution versus full rebuild), all fully determined by the
+seed (string-seeded RNG, stable across platforms and
+``PYTHONHASHSEED``).  Failures are shrunk and written as corpus-format
 JSON into ``--failures-dir``; promote a file into
 ``tests/fuzz/corpus/`` to pin the regression forever.
 
@@ -38,11 +38,6 @@ from repro.fuzz.lintoracle import (
     shrink_lint_trial,
 )
 from repro.fuzz.oracle import check_flow_trial, check_query_trial
-from repro.fuzz.planoracle import (
-    build_plan_trial,
-    check_plan_trial,
-    shrink_plan_trial,
-)
 from repro.fuzz.querygen import build_query_trial
 from repro.fuzz.shrink import shrink_flow_trial, shrink_query_trial
 
@@ -50,7 +45,6 @@ _KINDS = (
     ("flow", build_flow_trial, check_flow_trial, shrink_flow_trial),
     ("query", build_query_trial, check_query_trial, shrink_query_trial),
     ("lint", build_lint_trial, check_lint_trial, shrink_lint_trial),
-    ("planned", build_plan_trial, check_plan_trial, shrink_plan_trial),
     ("evolve", build_evolve_trial, check_evolve_trial, shrink_evolve_trial),
 )
 

@@ -2,11 +2,15 @@
 
 import pytest
 
+from repro import Quarry
 from repro.core.deployer import Deployer
 from repro.core.deployer import ddl, pdi, sqlscript
 from repro.core.interpreter import Interpreter
 from repro.errors import DeploymentError
+from repro.etlmodel.equivalence import prune_columns
 from repro.sources import tpch
+
+from benchmarks._workloads import ROW_COUNTS, requirement_corpus
 
 from .conftest import build_revenue_requirement
 
@@ -136,6 +140,34 @@ class TestNativeDeployment:
             ),
         )
         assert len(answer) >= 0
+
+    def test_native_deploy_of_a_pruned_flow_loads_the_same_rows(self):
+        """Deploying prunes again: a second ``prune_columns`` pass must
+        pick fresh ``PRUNE_`` names and change no loaded row."""
+        from repro.engine import Database
+
+        quarry = Quarry(
+            tpch.ontology(), tpch.schema(), tpch.mappings(),
+            row_counts=ROW_COUNTS,
+        )
+        for requirement in requirement_corpus(4):
+            quarry.add_requirement(requirement)
+        md_schema, etl = quarry.unified_design()
+        data = tpch.generate(0.1)
+        loaded = []
+        for flow in (etl, prune_columns(etl)):
+            database = Database()
+            database.load_source(tpch.schema(), data)
+            Deployer().deploy(
+                md_schema, flow, "native", source_database=database
+            )
+            loaded.append(
+                {
+                    table: database.scan(table).rows
+                    for table in sorted(database.row_counts())
+                }
+            )
+        assert loaded[1] == loaded[0]
 
     def test_native_requires_source_database(self, design, deployer):
         with pytest.raises(DeploymentError):

@@ -416,7 +416,7 @@ class TestModeEquivalence:
         assert results["legacy"] == results["columnar"]
 
     def test_unknown_mode_rejected(self):
-        for mode in ("vectorised", "parallel"):
+        for mode in ("vectorised", "parallel", "planned"):
             with pytest.raises(ValueError) as caught:
                 Executor(Database(), mode=mode)
             assert str(caught.value) == f"unknown executor mode {mode!r}"
@@ -524,7 +524,7 @@ class TestUnhashableKeyValues:
         )
 
 
-@pytest.mark.parametrize("mode", ("legacy", "columnar", "planned"))
+@pytest.mark.parametrize("mode", ("legacy", "columnar"))
 def test_loader_type_error_names_the_first_failing_row(mode):
     """Every mode loads through the same batch write path, so a typed
     target rejects the first failing row, not the first failing column,
@@ -557,7 +557,7 @@ def test_keyless_join_is_a_cross_product_in_every_mode(
 ):
     """A join with no keys pairs every left row with every right row."""
     loads = {}
-    for mode in ("legacy", "columnar", "planned"):
+    for mode in ("legacy", "columnar"):
         database = Database()
         database.create_table(TableDef("l", {"a": INT}))
         database.insert_many("l", [{"a": index} for index in range(5_000)])
@@ -578,6 +578,4 @@ def test_keyless_join_is_a_cross_product_in_every_mode(
             (row["a"], row["b"]) for row in database.scan("out").rows
         ]
     assert len(loads["legacy"]) == expected_rows
-    expected = sorted(loads["legacy"], key=repr)
-    for mode, rows in loads.items():
-        assert sorted(rows, key=repr) == expected, mode
+    assert loads["columnar"] == loads["legacy"]

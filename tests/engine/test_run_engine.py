@@ -12,7 +12,6 @@ from benchmarks import run_engine
 
 def tiny_scale(monkeypatch):
     monkeypatch.setattr(run_engine, "SCALE_FACTORS", (0.05,))
-    monkeypatch.setattr(run_engine, "PLANNER_SCALE_FACTOR", 0.05)
     monkeypatch.setattr(run_engine, "ROUNDS", 1)
 
 
@@ -24,7 +23,7 @@ def test_exit_code_is_the_equivalence_gate(tmp_path, monkeypatch, capsys):
     assert json.loads(output.read_text())["all_results_identical"]
     assert "MISMATCH" not in capsys.readouterr().err
 
-    def mismatch(name, snapshots, mismatches, modes=("legacy", "columnar")):
+    def mismatch(name, snapshots, mismatches):
         mismatches.append(f"{name}: injected")
 
     monkeypatch.setattr(run_engine, "compare_snapshots", mismatch)

@@ -4,19 +4,14 @@
 columnar view, which needed a per-table lock so that concurrent readers
 shared one pivot.  Tables are now stored as column snapshots, so a scan
 is a plain read: concurrent readers must all get the stored snapshot
-itself, and nothing may pivot.  The statistics catalog still fills a
-lazy cache, and its tests count collections under deliberate
-contention: a slowed-down collection makes an unsynchronized
-check-then-set race a certainty.
+itself, and nothing may pivot.
 """
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.engine import stats as stats_module
 from repro.engine.columnar import ColumnarRelation
 from repro.engine.database import Database, TableDef
-from repro.engine.stats import StatisticsCatalog
 from repro.expressions.types import ScalarType
 
 THREADS = 8
@@ -72,37 +67,3 @@ def test_scan_columns_cache_still_invalidated_by_writes():
     assert before.length == 3
     assert after.length == 4
 
-
-def test_statistics_catalog_collects_once_under_contention(monkeypatch):
-    database = _database()
-    catalog = StatisticsCatalog(database)
-    collections = []
-    original = stats_module.collect_table_stats
-    barrier = threading.Barrier(THREADS)
-
-    def slow_collect(*args, **kwargs):
-        collections.append(threading.get_ident())
-        threading.Event().wait(0.05)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(stats_module, "collect_table_stats", slow_collect)
-
-    def table_stats():
-        barrier.wait(timeout=10)
-        return catalog.table_stats("t")
-
-    with ThreadPoolExecutor(max_workers=THREADS) as pool:
-        results = list(pool.map(lambda _: table_stats(), range(THREADS)))
-
-    assert len(collections) == 1, f"{len(collections)} stat collections"
-    first = results[0]
-    assert all(result is first for result in results)
-    assert first.rows == 200
-
-
-def test_statistics_catalog_recollects_after_write():
-    database = _database(rows=5)
-    catalog = StatisticsCatalog(database)
-    assert catalog.table_stats("t").rows == 5
-    database.insert("t", {"k": 5, "v": "five"})
-    assert catalog.table_stats("t").rows == 6

@@ -1,9 +1,9 @@
-"""The SCD merge operator, pinned against all three execution modes.
+"""The SCD merge operator, pinned against both execution modes.
 
 The kernel (:func:`repro.engine.scd.scd_merge`) is one pure function
-shared by every mode, so dimension history must be *byte-identical* —
-same row order, same window values — whether the flow runs legacy,
-columnar or planned.  The semantics tests drive two
+shared by both modes, so dimension history must be *byte-identical* —
+same row order, same window values — whether the flow runs legacy or
+columnar.  The semantics tests drive two
 consecutive loads (initial + changed members) and check the pygrametl
 contract: type1 overwrites in place, type2 closes the current row and
 opens a versioned one, and a third load with unchanged members is a
@@ -23,7 +23,7 @@ from repro.expressions import ScalarType
 INT = ScalarType.INTEGER
 STR = ScalarType.STRING
 
-MODES = ("legacy", "columnar", "planned")
+MODES = ("legacy", "columnar")
 
 DATE = datetime.date.fromisoformat
 

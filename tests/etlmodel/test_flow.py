@@ -6,29 +6,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.engine import Database, TableDef
-from repro.engine.stats import StatisticsCatalog
 from repro.errors import EtlError, FlowValidationError, UnknownOperationError
 from repro.etlmodel import (
-    Aggregation,
-    AggregationSpec,
     Datastore,
     EtlFlow,
     Extraction,
     Join,
     Loader,
     Selection,
-)
-from repro.expressions import ScalarType
-from repro.planner import plan_flow
-
-from tests.planner.test_rewrite import (
-    chain_database,
-    chain_flow,
-    fact_dim_database,
-    join_then_filter_flow,
-    skewed_join_database,
-    skewed_join_flow,
 )
 
 
@@ -358,7 +343,6 @@ MUTATORS = (
     "swap_with_predecessor",
     "graft",
     "copy",
-    "rewire",
 )
 
 steps = st.lists(
@@ -410,39 +394,6 @@ def apply_step(flow, step, fresh):
         clone = flow.copy()
         assert_index_matches_edges(flow)
         return clone
-    elif mutator == "rewire" and edges:
-        before = flow.edges()
-        source, target = edge(first)
-        try:
-            flow.rewire({(source, target): (node(second), target)})
-        except EtlError:
-            assert flow.edges() == before
-            raise
-    return flow
-
-
-def wide_database():
-    database = Database()
-    database.create_table(TableDef("wide", {column: ScalarType.INTEGER for column in "abcd"}))
-    database.insert_many("wide", [{column: row for column in "abcd"} for row in range(10)])
-    return database
-
-
-def two_rollups_flow():
-    """One scan feeding two roll-ups that each read two of its four
-    columns: projection pushdown narrows both branches."""
-    flow = EtlFlow("two_rollups")
-    flow.add(Datastore("src", table="wide"))
-    for group, measure in (("a", "b"), ("c", "d")):
-        flow.chain(
-            flow.node("src"),
-            Aggregation(
-                f"agg_{group}",
-                group_by=(group,),
-                aggregates=(AggregationSpec(f"sum_{measure}", "SUM", measure),),
-            ),
-            Loader(f"load_{group}", table=f"out_{group}", mode="replace"),
-        )
     return flow
 
 
@@ -469,44 +420,4 @@ class TestAdjacencyIndex:
         flow.disconnect("extract", "load")
         assert flow.outputs("extract") == ["load2"]
         assert flow.sources() == ["src", "load"]
-        assert_index_matches_edges(flow)
-
-    def test_rewire_keeps_edge_positions(self, revenue_flow):
-        left, right = revenue_flow.inputs("JOIN_lineitem_orders")
-        revenue_flow.rewire(
-            {
-                (left, "JOIN_lineitem_orders"): (right, "JOIN_lineitem_orders"),
-                (right, "JOIN_lineitem_orders"): (left, "JOIN_lineitem_orders"),
-            }
-        )
-        assert revenue_flow.inputs("JOIN_lineitem_orders") == [right, left]
-        assert_index_matches_edges(revenue_flow)
-
-    def test_rewire_refuses_duplicates_and_unknown_nodes(self):
-        flow = linear_flow()
-        before = flow.edges()
-        with pytest.raises(EtlError):
-            flow.rewire({("filter", "extract"): ("src", "filter")})
-        with pytest.raises(UnknownOperationError):
-            flow.rewire({("filter", "extract"): ("ghost", "extract")})
-        assert flow.edges() == before
-        assert_index_matches_edges(flow)
-
-    @pytest.mark.parametrize(
-        "build, database, decision",
-        [
-            (join_then_filter_flow, fact_dim_database, "selection-pushdown"),
-            (two_rollups_flow, wide_database, "projection-pushdown"),
-            (chain_flow, chain_database, "join-reorder"),
-            (skewed_join_flow, skewed_join_database, "build-side"),
-        ],
-    )
-    def test_planner_rewrites_keep_index_equal_to_edge_list(
-        self, build, database, decision
-    ):
-        flow = build()
-        assert_index_matches_edges(flow)  # builds the index before planning
-        plan = plan_flow(flow, StatisticsCatalog(database()))
-        assert any(entry.startswith(decision) for entry in plan.decisions)
-        assert_index_matches_edges(plan.flow)
         assert_index_matches_edges(flow)

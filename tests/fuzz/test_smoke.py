@@ -32,7 +32,7 @@ def test_fixed_seed_budget_finds_no_divergence():
         for failure in report["failures"]
     ]
     assert not details, "\n".join(details)
-    assert report["trials"] == 5 * SMOKE_SEEDS
+    assert report["trials"] == 4 * SMOKE_SEEDS
 
 
 def test_trials_are_deterministic():
@@ -77,12 +77,13 @@ def test_corpus_round_trips_through_json():
             assert again.get(key) == entry[key], (path.name, key)
 
 
-def test_retired_parallel_kind_is_rejected():
-    """An old failure file of the retired ``parallel`` kind must fail
-    loudly, not replay as some other check."""
+@pytest.mark.parametrize("kind", ("parallel", "planned"))
+def test_retired_parallel_kind_is_rejected(kind):
+    """An old failure file of a retired kind (``parallel``, ``planned``)
+    must fail loudly, not replay as some other check."""
     entry = corpus.flow_entry(build_flow_trial(7))
-    entry["kind"] = "parallel"
+    entry["kind"] = kind
     with pytest.raises(
-        ValueError, match="unknown corpus entry kind 'parallel'"
+        ValueError, match=f"unknown corpus entry kind '{kind}'"
     ):
         corpus.replay(entry)
