@@ -1,19 +1,18 @@
 """Engine core — compiled columnar executor vs legacy row interpreter.
 
 The tentpole claim of the execution engine: lowering predicates and
-derivations to compiled closures, running operators over column arrays
-and fusing unary chains makes flow execution several times faster than
-the row-at-a-time tree-walking interpreter, while remaining
-bit-identical on every workload.  ``python -m benchmarks.run_engine``
-produces the committed ``BENCH_engine.json`` numbers; this module pins
-the shape under pytest-benchmark.
+derivations to compiled closures and running each operator over column
+arrays makes flow execution several times faster than the row-at-a-time
+tree-walking interpreter, while loading the same rows in the same order
+on every workload.  ``python -m benchmarks.run_engine`` produces the
+committed ``BENCH_engine.json`` numbers; this module pins the shape
+under pytest-benchmark.
 """
-
-from collections import Counter
 
 import pytest
 
 from repro.engine import Executor
+from repro.fuzz.oracle import canonical_rows
 
 from benchmarks.bench_s2_integration_etl import build_flows, compare_times
 from benchmarks.conftest import make_database
@@ -33,10 +32,7 @@ def engine_db():
 def loaded_snapshot(database, flow):
     tables = {node.table for node in flow.nodes() if node.kind == "Loader"}
     return {
-        table: Counter(
-            tuple(sorted(row.items())) for row in database.scan(table).rows
-        )
-        for table in tables
+        table: canonical_rows(database.scan(table).rows) for table in tables
     }
 
 

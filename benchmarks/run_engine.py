@@ -10,10 +10,11 @@ IQR over the rounds.
 
 The runner is also the equivalence gate for the compiled columnar
 engine: after every workload it compares the loaded warehouse tables of
-the two modes **row-set-wise** (as multisets of rows, order ignored)
-and exits non-zero on any disagreement — a benchmark number is only
-reported for results that are known identical.  Timings are recorded,
-never gated.
+the two modes as **ordered rows with types visible**
+(:func:`repro.fuzz.oracle.canonical_rows`, so ``1``, ``1.0`` and
+``True`` differ) and exits non-zero on any disagreement — a benchmark
+number is only reported for results that are known identical.  Timings
+are recorded, never gated.
 
 Usage::
 
@@ -30,7 +31,6 @@ import statistics
 import subprocess
 import sys
 import time
-from collections import Counter
 
 try:
     import repro  # noqa: F401  (needs PYTHONPATH=src or an install)
@@ -42,6 +42,7 @@ except ModuleNotFoundError:  # running from a source checkout
 
 from repro.engine import Database, Executor, TableDef
 from repro.expressions import ScalarType
+from repro.fuzz.oracle import canonical_rows
 from repro.sources import tpch
 
 from benchmarks.bench_a1_equivalence import (
@@ -62,13 +63,10 @@ def loaded_tables(flow):
     )
 
 
-def row_multiset(database, tables):
-    """{table: multiset of rows} — order-insensitive, duplicate-exact."""
+def loaded_rows(database, tables):
+    """{table: its rows in order, types visible}."""
     return {
-        table: Counter(
-            tuple(sorted(row.items())) for row in database.scan(table).rows
-        )
-        for table in tables
+        table: canonical_rows(database.scan(table).rows) for table in tables
     }
 
 
@@ -90,7 +88,7 @@ def time_flows(database, flows, mode):
         for flow in flows:
             executor.execute(flow)
         best = min(best, time.perf_counter() - started)
-    return best, row_multiset(database, tables)
+    return best, loaded_rows(database, tables)
 
 
 def compare_snapshots(name, snapshots, mismatches):
@@ -267,7 +265,7 @@ def run_a1_equivalence(mismatches):
     for mode in MODES:
         database = a1_database()
         Executor(database, mode=mode).execute(unified)
-        snapshots[mode] = row_multiset(database, tables)
+        snapshots[mode] = loaded_rows(database, tables)
     compare_snapshots("A1", snapshots, mismatches)
     identical = not any(m.startswith("A1") for m in mismatches)
     print(f"  A1 equivalence workload: {'identical' if identical else 'MISMATCH'}")

@@ -10,17 +10,16 @@ Two execution modes share one serial dispatch skeleton:
 * ``"columnar"`` (default) — the compiled-columnar core: operations run
   over :class:`repro.engine.columnar.ColumnarRelation` column arrays,
   predicates and derivations are lowered to Python closures by
-  :mod:`repro.expressions.compiler` (no per-row tree walking), adjacent
-  Selection/Projection/Extraction/DerivedAttribute/Rename chains are
-  fused into a single pass over the data (:mod:`repro.engine.fusion`),
-  and loads go through the database's bulk column path.
+  :mod:`repro.expressions.compiler` (no per-row tree walking), and loads
+  go through the database's bulk column path.
 * ``"legacy"`` — the original row-at-a-time interpreter over dict rows,
   kept as the semantic reference: ``benchmarks/run_engine`` gates the
   columnar path on bit-identical results against this mode.
 
 Structural bookkeeping is shared and cheap: the topological order is
-computed once per ``execute()`` and intermediate results are released by
-a per-node consumer countdown (O(V+E) overall, not O(n²)).
+computed once per ``execute()``, every node runs through its own kernel
+and gets one :class:`NodeStats`, and intermediate results are released
+by a per-node consumer countdown (O(V+E) overall, not O(n²)).
 """
 
 from __future__ import annotations
@@ -39,11 +38,6 @@ from repro.engine.columnar import (
     unhashable_key_error,
 )
 from repro.engine.database import Database, TableDef
-from repro.engine.fusion import (
-    build_chain_spec,
-    compile_chain_spec,
-    fusion_plan,
-)
 from repro.engine.relation import Relation
 from repro.etlmodel.flow import EtlFlow
 from repro.engine.scd import scd_merge
@@ -175,149 +169,44 @@ class Executor:
         # Consumer countdown: an intermediate is dropped as soon as its
         # last consumer has run (O(V+E) over the whole execution).
         consumers_left = {name: len(flow.outputs(name)) for name in order}
-        chains: Dict[str, List[str]] = {}
-        members: frozenset = frozenset()
-        if self.mode != "legacy" and not keep_intermediate:
-            chains, members = fusion_plan(flow, order, inputs_of)
         started = time.perf_counter()
         for name in order:
-            if name in members:
-                continue  # executed as part of its chain
-            if name in chains:
-                chain = chains[name]
-                inputs = [relations[source] for source in inputs_of[name]]
-                self._execute_chain(flow, chain, inputs[0], relations, stats)
-                consumed = inputs_of[name]
-                stored = chain[-1]
-            else:
-                operation = flow.node(name)
-                inputs = [relations[source] for source in inputs_of[name]]
-                node_started = time.perf_counter()
-                try:
-                    result = self._execute_node(operation, inputs, stats)
-                except ExecutionError:
-                    raise
-                except Exception as exc:
-                    raise ExecutionError(f"node {name!r}: {exc}") from exc
-                node_seconds = time.perf_counter() - node_started
-                relations[name] = result
-                stats.nodes.append(
-                    NodeStats(
-                        name=name,
-                        kind=operation.kind,
-                        input_rows=sum(len(relation) for relation in inputs),
-                        output_rows=len(result),
-                        seconds=node_seconds,
-                    )
-                )
-                consumed = inputs_of[name]
-                stored = name
-            if not keep_intermediate:
-                for source in consumed:
-                    consumers_left[source] -= 1
-                    if consumers_left[source] <= 0:
-                        relations.pop(source, None)
-                if consumers_left.get(stored, 0) == 0:
-                    relations.pop(stored, None)
-        stats.seconds = time.perf_counter() - started
-        if keep_intermediate:
-            self.relations = relations
-        return stats
-
-    # -- node dispatch ------------------------------------------------------
-
-    def _execute_node(self, operation, inputs, stats):
-        method = self._dispatch.get(operation.kind)
-        if method is None:
-            raise ExecutionError(
-                f"unsupported operation kind {operation.kind!r}"
-            )
-        return method(operation, inputs, stats)
-
-    # -- fusion -------------------------------------------------------------
-
-    def _execute_chain(
-        self,
-        flow: EtlFlow,
-        chain: List[str],
-        input_relation: ColumnarRelation,
-        relations: Dict[str, object],
-        stats: ExecutionStats,
-    ) -> None:
-        """Run a fused chain in one pass; fall back to per-node execution
-        on any compile-time or runtime problem (reproducing the exact
-        per-node error and ordering of the unfused engine)."""
-        node_started = time.perf_counter()
-        program = None
-        try:
-            spec = build_chain_spec(flow, chain, input_relation)
-            if spec is not None:
-                program = compile_chain_spec(spec)
-        except Exception:
-            program = None
-        if program is not None:
-            try:
-                result, filter_counts = program.run(input_relation)
-            except Exception:
-                result = None
-            if result is not None:
-                seconds = time.perf_counter() - node_started
-                self._record_chain_stats(
-                    flow, chain, input_relation, result, filter_counts,
-                    program, seconds, stats,
-                )
-                relations[chain[-1]] = result
-                return
-        # Fallback: execute the chain node by node (stage-at-a-time), so
-        # failures surface exactly as in the unfused engine.
-        current = input_relation
-        for name in chain:
             operation = flow.node(name)
-            step_started = time.perf_counter()
+            inputs = [relations[source] for source in inputs_of[name]]
+            method = self._dispatch.get(operation.kind)
+            if method is None:
+                raise ExecutionError(
+                    f"unsupported operation kind {operation.kind!r}"
+                )
+            node_started = time.perf_counter()
             try:
-                result = self._execute_node(operation, [current], stats)
+                result = method(operation, inputs, stats)
             except ExecutionError:
                 raise
             except Exception as exc:
                 raise ExecutionError(f"node {name!r}: {exc}") from exc
+            node_seconds = time.perf_counter() - node_started
+            relations[name] = result
             stats.nodes.append(
                 NodeStats(
                     name=name,
                     kind=operation.kind,
-                    input_rows=len(current),
+                    input_rows=sum(len(relation) for relation in inputs),
                     output_rows=len(result),
-                    seconds=time.perf_counter() - step_started,
+                    seconds=node_seconds,
                 )
             )
-            current = result
-        relations[chain[-1]] = current
-
-    def _record_chain_stats(
-        self, flow, chain, input_relation, result, filter_counts,
-        program, seconds, stats,
-    ) -> None:
-        """Exact per-node row counts for a fused chain: selections are
-        counted inside the pass, every other stage preserves counts."""
-        share = seconds / len(chain)
-        current_rows = len(input_relation)
-        filter_index = 0
-        for name in chain:
-            operation = flow.node(name)
-            if operation.kind == "Selection":
-                output_rows = filter_counts[filter_index]
-                filter_index += 1
-            else:
-                output_rows = current_rows
-            stats.nodes.append(
-                NodeStats(
-                    name=name,
-                    kind=operation.kind,
-                    input_rows=current_rows,
-                    output_rows=output_rows,
-                    seconds=share,
-                )
-            )
-            current_rows = output_rows
+            if not keep_intermediate:
+                for source in inputs_of[name]:
+                    consumers_left[source] -= 1
+                    if consumers_left[source] <= 0:
+                        relations.pop(source, None)
+                if consumers_left[name] == 0:
+                    relations.pop(name, None)
+        stats.seconds = time.perf_counter() - started
+        if keep_intermediate:
+            self.relations = relations
+        return stats
 
     # -- columnar operators -------------------------------------------------
 

@@ -102,7 +102,10 @@ def query_star(database: Database, query: OlapQuery) -> Relation:
 
     result_schema = {column: schema[column] for column in query.group_by}
     output_rows = []
-    for key in sorted(groups, key=lambda k: tuple(str(part) for part in k)):
+    # NULLs first, then by value: the ORDER BY that ``to_sql`` renders.
+    for key in sorted(
+        groups, key=lambda k: tuple((part is not None, part) for part in k)
+    ):
         members = groups[key]
         out = dict(zip(query.group_by, key))
         for function, input_column, alias in query.aggregates:

@@ -14,7 +14,7 @@ generator can dream up":
 * :mod:`repro.fuzz.querygen` — random documents and Mongo-style queries
   plus an independent naive reference matcher,
 * :mod:`repro.fuzz.oracle` — the differential checks (columnar vs
-  legacy row-multisets, error parity, xLM round-trip identity),
+  legacy ordered rows, error parity, xLM round-trip identity),
 * :mod:`repro.fuzz.shrink` — minimises failing trials,
 * :mod:`repro.fuzz.corpus` — JSON (de)serialisation of trials so
   shrunk failures become committed regression cases,

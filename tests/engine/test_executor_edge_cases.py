@@ -27,6 +27,7 @@ from repro.etlmodel import (
     UnionOp,
 )
 from repro.expressions import ScalarType
+from repro.fuzz.oracle import canonical_rows
 
 INT = ScalarType.INTEGER
 STR = ScalarType.STRING
@@ -319,9 +320,9 @@ class TestSortDirections:
 
 
 @pytest.mark.parametrize("mode", MODES)
-class TestFusedChains:
-    """Chains of fusable operators must behave exactly like the unfused
-    engine — same rows, same per-node stats, same errors."""
+class TestUnaryChains:
+    """A chain of unary operators gives the same rows, the same per-node
+    stats and the same errors in both modes."""
 
     def chain_flow(self):
         flow = EtlFlow("t")
@@ -388,8 +389,6 @@ class TestFusedChains:
 
 class TestModeEquivalence:
     def test_modes_produce_identical_loads(self):
-        from collections import Counter
-
         results = {}
         for mode in MODES:
             database = null_key_db()
@@ -409,11 +408,28 @@ class TestModeEquivalence:
                 Loader("load", table="out"),
             )
             run(flow, database, mode)
-            results[mode] = Counter(
-                tuple(sorted(row.items()))
-                for row in database.scan("out").rows
-            )
+            results[mode] = canonical_rows(database.scan("out").rows)
         assert results["legacy"] == results["columnar"]
+
+    def test_modes_report_every_node_in_topological_order(self):
+        """One NodeStats per node, in topological order, even where a
+        second branch runs between two nodes of a unary chain."""
+        flow = EtlFlow("t")
+        flow.chain(
+            Datastore("src_a", table="orders"),
+            Selection("pos", predicate="amount > 0"),
+            Projection("proj", columns=("o_id", "amount")),
+            Loader("load_a", table="out_a"),
+        )
+        flow.chain(
+            Datastore("src_b", table="custs"),
+            Loader("load_b", table="out_b"),
+        )
+        order = flow.topological_order()
+        assert order == ["src_a", "src_b", "pos", "load_b", "proj", "load_a"]
+        for mode in MODES:
+            __, stats = run(flow, null_key_db(), mode)
+            assert [node.name for node in stats.nodes] == order
 
     def test_unknown_mode_rejected(self):
         for mode in ("vectorised", "parallel", "planned"):

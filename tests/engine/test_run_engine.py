@@ -64,6 +64,23 @@ def test_ingest_gate_reports_a_table_that_differs(monkeypatch):
     assert mismatches == ["ingest probe: table 'region' differs from the data"]
 
 
+def test_modes_gate_compares_rows_in_order():
+    data = run_engine.tpch.generate(0.05)
+    snapshots = {}
+    for mode, region in (
+        ("legacy", data["region"]),
+        ("columnar", list(reversed(data["region"]))),
+    ):
+        database = run_engine.Database()
+        database.load_source(run_engine.tpch.schema(), dict(data, region=region))
+        snapshots[mode] = run_engine.loaded_rows(database, ["region"])
+    mismatches = []
+
+    run_engine.compare_snapshots("order probe", snapshots, mismatches)
+
+    assert mismatches == ["order probe: table 'region' differs across modes"]
+
+
 def test_report_starts_with_host_facts(tmp_path, monkeypatch):
     tiny_scale(monkeypatch)
     output = tmp_path / "engine.json"

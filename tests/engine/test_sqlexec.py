@@ -136,6 +136,25 @@ class TestExecuteSelect:
             )
 
 
+@pytest.fixture
+def mixed_keys_db():
+    """Group keys that order differently as text: 10 and 2, 10.25 and
+    9.5, and NULLs."""
+    database = Database()
+    database.create_table(
+        TableDef("f", {"k": INT, "s": STR, "d": DEC, "v": DEC})
+    )
+    database.insert_many(
+        "f",
+        [
+            {"k": 2, "s": "A", "d": 9.5, "v": 1.0},
+            {"k": 10, "s": None, "d": 10.25, "v": 2.0},
+            {"k": 2, "s": "Z", "d": None, "v": 3.0},
+        ],
+    )
+    return database
+
+
 class TestOlapSqlAgreesWithQueryStar:
     def test_rendered_sql_computes_same_answer(self, star_db):
         query = OlapQuery(
@@ -146,6 +165,21 @@ class TestOlapSqlAgreesWithQueryStar:
         )
         via_engine = query_star(star_db, query)
         via_sql = execute_select(star_db, query.to_sql())
+        assert via_engine.rows == via_sql.rows
+
+    @pytest.mark.parametrize(
+        "group_by", [["k"], ["s"], ["d"], ["k", "s"]], ids="-".join
+    )
+    def test_groups_come_back_in_the_rendered_order(
+        self, mixed_keys_db, group_by
+    ):
+        query = OlapQuery(
+            fact_table="f",
+            group_by=group_by,
+            aggregates=[("SUM", "v", "total")],
+        )
+        via_engine = query_star(mixed_keys_db, query)
+        via_sql = execute_select(mixed_keys_db, query.to_sql())
         assert via_engine.rows == via_sql.rows
 
     def test_against_deployed_warehouse(self):
