@@ -12,7 +12,7 @@ under pytest-benchmark.
 import pytest
 
 from repro.engine import Executor
-from repro.fuzz.oracle import canonical_rows
+from repro.fuzz.oracle import MODES, run_mode
 
 from benchmarks.bench_s2_integration_etl import build_flows, compare_times
 from benchmarks.conftest import make_database
@@ -27,13 +27,6 @@ def workload():
 @pytest.fixture(scope="module")
 def engine_db():
     return make_database(scale_factor=0.5)
-
-
-def loaded_snapshot(database, flow):
-    tables = {node.table for node in flow.nodes() if node.kind == "Loader"}
-    return {
-        table: canonical_rows(database.scan(table).rows) for table in tables
-    }
 
 
 @pytest.mark.parametrize("mode", ["legacy", "columnar"])
@@ -57,11 +50,11 @@ def test_partial_flows_execution(benchmark, workload, engine_db, mode):
 class TestEquivalenceAndShape:
     def test_modes_load_identical_tables(self, workload, engine_db):
         unified, __ = workload
-        snapshots = {}
-        for mode in ("legacy", "columnar"):
-            Executor(engine_db, mode=mode).execute(unified)
-            snapshots[mode] = loaded_snapshot(engine_db, unified)
-        assert snapshots["legacy"] == snapshots["columnar"]
+        legacy, columnar = (
+            run_mode(mode, engine_db, unified) for mode in MODES
+        )
+        assert legacy[0] == "ok", legacy
+        assert legacy == columnar
 
     def test_columnar_is_faster_than_legacy(self, workload, engine_db):
         unified, __ = workload

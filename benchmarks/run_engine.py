@@ -11,7 +11,7 @@ IQR over the rounds.
 The runner is also the equivalence gate for the compiled columnar
 engine: after every workload it compares the loaded warehouse tables of
 the two modes as **ordered rows with types visible**
-(:func:`repro.fuzz.oracle.canonical_rows`, so ``1``, ``1.0`` and
+(:func:`repro.fuzz.oracle.loaded_rows`, so ``1``, ``1.0`` and
 ``True`` differ) and exits non-zero on any disagreement — a benchmark
 number is only reported for results that are known identical.  Timings
 are recorded, never gated.
@@ -42,7 +42,7 @@ except ModuleNotFoundError:  # running from a source checkout
 
 from repro.engine import Database, Executor, TableDef
 from repro.expressions import ScalarType
-from repro.fuzz.oracle import canonical_rows
+from repro.fuzz.oracle import MODES, loaded_rows
 from repro.sources import tpch
 
 from benchmarks.bench_a1_equivalence import (
@@ -54,31 +54,16 @@ from benchmarks.conftest import make_database
 
 SCALE_FACTORS = (0.25, 0.5, 1.0, 2.0)
 ROUNDS = 5
-MODES = ("legacy", "columnar")
-
-
-def loaded_tables(flow):
-    return sorted(
-        {node.table for node in flow.nodes() if node.kind == "Loader"}
-    )
-
-
-def loaded_rows(database, tables):
-    """{table: its rows in order, types visible}."""
-    return {
-        table: canonical_rows(database.scan(table).rows) for table in tables
-    }
 
 
 def time_flows(database, flows, mode):
     """Best-of-rounds wall-clock of executing ``flows`` in ``mode``.
 
-    Returns (seconds, snapshot of every loaded table).  The flows'
-    loaders run in replace mode, so repeated rounds are idempotent; one
-    warmup round removes one-time costs (parse/compile caches, columnar
-    scan pivots) from the measurement.
+    Returns (seconds, snapshot of every loaded table, merged over the
+    flows).  The flows' loaders run in replace mode, so repeated rounds
+    are idempotent; one warmup round removes one-time costs
+    (parse/compile caches, columnar scan pivots) from the measurement.
     """
-    tables = sorted({t for flow in flows for t in loaded_tables(flow)})
     executor = Executor(database, mode=mode)
     for flow in flows:  # warmup
         executor.execute(flow)
@@ -88,7 +73,10 @@ def time_flows(database, flows, mode):
         for flow in flows:
             executor.execute(flow)
         best = min(best, time.perf_counter() - started)
-    return best, loaded_rows(database, tables)
+    snapshot = {}
+    for flow in flows:
+        snapshot.update(loaded_rows(database, flow))
+    return best, snapshot
 
 
 def compare_snapshots(name, snapshots, mismatches):
@@ -260,16 +248,15 @@ def run_a1_equivalence(mismatches):
     same tables under both executor modes."""
     flows = reordered_pair()
     unified, __ = consolidate_pairwise(flows, align=True)
-    tables = loaded_tables(unified)
     snapshots = {}
     for mode in MODES:
         database = a1_database()
         Executor(database, mode=mode).execute(unified)
-        snapshots[mode] = loaded_rows(database, tables)
+        snapshots[mode] = loaded_rows(database, unified)
     compare_snapshots("A1", snapshots, mismatches)
     identical = not any(m.startswith("A1") for m in mismatches)
     print(f"  A1 equivalence workload: {'identical' if identical else 'MISMATCH'}")
-    return {"tables": tables, "results_identical": identical}
+    return {"tables": list(snapshots["legacy"]), "results_identical": identical}
 
 
 def main(argv=None) -> int:

@@ -102,8 +102,8 @@ class ExecutionStats:
 #: methods are bound); replaces the old isinstance chain.
 _COLUMNAR_DISPATCH = {
     "Datastore": "_scan_columnar",
-    "Extraction": "_project_columnar",
-    "Projection": "_project_columnar",
+    "Extraction": "_project",
+    "Projection": "_project",
     "Selection": "_filter_columnar",
     "Join": "_join_columnar",
     "Aggregation": "_aggregate_columnar",
@@ -111,16 +111,16 @@ _COLUMNAR_DISPATCH = {
     "Rename": "_rename_columnar",
     "Union": "_union_columnar",
     "SurrogateKey": "_surrogate_columnar",
-    "Sort": "_sort_columnar",
-    "Distinct": "_distinct_columnar",
+    "Sort": "_sort",
+    "Distinct": "_distinct",
     "SCDUpdate": "_scd_columnar",
     "Loader": "_load_columnar",
 }
 
 _LEGACY_DISPATCH = {
     "Datastore": "_scan_legacy",
-    "Extraction": "_project_legacy",
-    "Projection": "_project_legacy",
+    "Extraction": "_project",
+    "Projection": "_project",
     "Selection": "_filter_legacy",
     "Join": "_join_legacy",
     "Aggregation": "_aggregate_legacy",
@@ -128,8 +128,8 @@ _LEGACY_DISPATCH = {
     "Rename": "_rename_legacy",
     "Union": "_union_legacy",
     "SurrogateKey": "_surrogate_legacy",
-    "Sort": "_sort_legacy",
-    "Distinct": "_distinct_legacy",
+    "Sort": "_sort",
+    "Distinct": "_distinct",
     "SCDUpdate": "_scd_legacy",
     "Loader": "_load_legacy",
 }
@@ -208,6 +208,20 @@ class Executor:
             self.relations = relations
         return stats
 
+    # -- operators with one kernel for both modes ---------------------------
+    # (Relation and ColumnarRelation both provide the method called)
+
+    def _project(self, operation, inputs, stats):
+        return inputs[0].project(list(operation.columns))
+
+    def _sort(self, operation: Sort, inputs, stats):
+        return inputs[0].sorted_by(
+            list(operation.keys), descending=operation.descending
+        )
+
+    def _distinct(self, operation, inputs, stats):
+        return inputs[0].distinct()
+
     # -- columnar operators -------------------------------------------------
 
     def _scan_columnar(self, operation: Datastore, inputs, stats):
@@ -215,9 +229,6 @@ class Executor:
         if operation.columns:
             return relation.project(list(operation.columns))
         return relation
-
-    def _project_columnar(self, operation, inputs, stats):
-        return inputs[0].project(list(operation.columns))
 
     def _filter_columnar(self, operation: Selection, inputs, stats):
         relation: ColumnarRelation = inputs[0]
@@ -319,14 +330,6 @@ class Executor:
             schema=schema, columns=columns, length=relation.length
         )
 
-    def _sort_columnar(self, operation: Sort, inputs, stats):
-        return inputs[0].sorted_by(
-            list(operation.keys), descending=operation.descending
-        )
-
-    def _distinct_columnar(self, operation, inputs, stats):
-        return inputs[0].distinct()
-
     def _scd_columnar(self, operation: SCDUpdate, inputs, stats):
         relation: ColumnarRelation = inputs[0]
         schema, rows = self._scd_rows(operation, relation.schema, relation.rows)
@@ -351,9 +354,6 @@ class Executor:
         if operation.columns:
             relation = relation.project(list(operation.columns))
         return relation.to_relation()
-
-    def _project_legacy(self, operation, inputs, stats):
-        return inputs[0].project(list(operation.columns))
 
     def _filter_legacy(self, operation: Selection, inputs, stats):
         relation: Relation = inputs[0]
@@ -492,14 +492,6 @@ class Executor:
             ]
             raise unhashable_key_error("surrogate-key", named, exc) from exc
         return Relation(schema=schema, rows=rows)
-
-    def _sort_legacy(self, operation: Sort, inputs, stats):
-        return inputs[0].sorted_by(
-            list(operation.keys), descending=operation.descending
-        )
-
-    def _distinct_legacy(self, operation, inputs, stats):
-        return inputs[0].distinct()
 
     def _scd_legacy(self, operation: SCDUpdate, inputs, stats):
         relation: Relation = inputs[0]

@@ -13,11 +13,14 @@ generator can dream up":
   operator vocabulary,
 * :mod:`repro.fuzz.querygen` — random documents and Mongo-style queries
   plus an independent naive reference matcher,
-* :mod:`repro.fuzz.oracle` — the differential checks (columnar vs
-  legacy ordered rows, error parity, xLM round-trip identity),
-* :mod:`repro.fuzz.shrink` — minimises failing trials,
-* :mod:`repro.fuzz.corpus` — JSON (de)serialisation of trials so
-  shrunk failures become committed regression cases,
+* :mod:`repro.fuzz.oracle` — the shared harness (one mode runner, one
+  canonicaliser) and the differential checks (columnar vs legacy
+  ordered rows, error parity, xLM round-trip identity),
+* :mod:`repro.fuzz.shrink` — one greedy shrink loop, fed by a candidate
+  generator per kind,
+* :mod:`repro.fuzz.corpus` — the kind table every other piece reads,
+  and JSON (de)serialisation of trials so shrunk failures become
+  committed regression cases,
 * :mod:`repro.fuzz.runner` — the ``python -m repro.fuzz`` entry point.
 
 Every trial is derived from an integer seed only, so any failure

@@ -1,40 +1,57 @@
-"""The regression corpus: failing trials, frozen as JSON.
+"""The kind table and the regression corpus: failing trials, frozen as JSON.
+
+:data:`KINDS` maps every trial kind to how it is built, checked,
+shrunk and (de)serialised; the runner, :func:`encode_trial`,
+:func:`decode_entry` and :func:`replay` all read it.
 
 Every shrunk failure the fuzzer finds can be serialised to a small JSON
 document and committed under ``tests/fuzz/corpus/``; the tier-1 smoke
 test replays every entry on each run, so a fixed bug stays fixed.
 
-Four entry kinds:
+Four entry kinds, in per-seed order:
 
 * ``"flow"`` — source tables (schema + rows) and the flow as xLM text;
   replay runs the full differential flow check.
+* ``"query"`` — documents, query, sort key and limit (plus indexes,
+  session and decoys, which older entries may lack); replay runs the
+  document-store check against the naive reference.
 * ``"lint"`` — same payload as ``"flow"``; replay runs the
   static/dynamic agreement check (linter versus engine) instead.
-* ``"query"`` — documents, query, sort key and limit; replay runs the
-  document-store check against the naive reference.
 * ``"evolve"`` — SCD policy assignment plus a design script (adds,
   removals and evolution operators) over the TPC-H domain; replay
   checks incremental evolution against replay, rebuild and both
   engine modes.
 
-Dates are tagged ``{"$date": "YYYY-MM-DD"}`` since JSON has no date
-type; everything else the generators produce is JSON-native.
+Every entry also carries its ``kind``, a ``description`` and the
+``seed`` it came from.  Dates are tagged ``{"$date": "YYYY-MM-DD"}``
+since JSON has no date type; everything else the generators produce is
+JSON-native.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.expressions.types import ScalarType
 from repro.fuzz.datagen import TableSpec
-from repro.fuzz.evolveoracle import EvolveTrial, check_evolve_trial
-from repro.fuzz.flowgen import FlowTrial
-from repro.fuzz.lintoracle import LintTrial, check_lint_trial
+from repro.fuzz.evolveoracle import (
+    EvolveTrial,
+    build_evolve_trial,
+    check_evolve_trial,
+)
+from repro.fuzz.flowgen import FlowTrial, build_flow_trial
+from repro.fuzz.lintoracle import build_lint_trial, check_lint_trial
 from repro.fuzz.oracle import check_flow_trial, check_query_trial
-from repro.fuzz.querygen import QueryTrial
+from repro.fuzz.querygen import QueryTrial, build_query_trial
+from repro.fuzz.shrink import (
+    flow_candidates,
+    query_candidates,
+    script_candidates,
+)
 from repro.xformats import xlm
 
 
@@ -58,11 +75,11 @@ def decode_value(value):
     return value
 
 
-def flow_entry(trial: FlowTrial, description: str = "") -> dict:
+# -- per-kind payloads ---------------------------------------------------------
+
+
+def _encode_flow(trial: FlowTrial) -> dict:
     return {
-        "kind": "flow",
-        "description": description,
-        "seed": trial.seed,
         "tables": [
             {
                 "name": table.name,
@@ -84,11 +101,26 @@ def flow_entry(trial: FlowTrial, description: str = "") -> dict:
     }
 
 
-def query_entry(trial: QueryTrial, description: str = "") -> dict:
+def _decode_flow(entry: dict) -> FlowTrial:
+    return FlowTrial(
+        tables=[
+            TableSpec(
+                name=table["name"],
+                schema={
+                    column: ScalarType[type_name]
+                    for column, type_name in table["schema"].items()
+                },
+                rows=[decode_value(row) for row in table["rows"]],
+            )
+            for table in entry["tables"]
+        ],
+        flow=xlm.loads(entry["xlm"]),
+        seed=entry.get("seed"),
+    )
+
+
+def _encode_query(trial: QueryTrial) -> dict:
     return {
-        "kind": "query",
-        "description": description,
-        "seed": trial.seed,
         "documents": [
             encode_value(document) for document in trial.documents
         ],
@@ -104,91 +136,116 @@ def query_entry(trial: QueryTrial, description: str = "") -> dict:
     }
 
 
-def lint_entry(trial, description: str = "") -> dict:
-    entry = flow_entry(trial, description)
-    entry["kind"] = "lint"
-    return entry
+def _decode_query(entry: dict) -> QueryTrial:
+    return QueryTrial(
+        documents=[
+            decode_value(document) for document in entry["documents"]
+        ],
+        query=decode_value(entry["query"]),
+        sort_key=entry.get("sort_key"),
+        limit=entry.get("limit"),
+        indexes=list(entry.get("indexes", [])),
+        session=entry.get("session", ""),
+        decoys={
+            session: [decode_value(document) for document in documents]
+            for session, documents in entry.get("decoys", {}).items()
+        },
+        seed=entry.get("seed"),
+    )
 
 
-def evolve_entry(trial: EvolveTrial, description: str = "") -> dict:
+def _encode_evolve(trial: EvolveTrial) -> dict:
     return {
-        "kind": "evolve",
-        "description": description,
-        "seed": trial.seed,
         "policies": dict(trial.policies),
         "script": [dict(op) for op in trial.script],
     }
 
 
-def encode_trial(trial, description: str = "") -> dict:
-    # Subclasses of FlowTrial must be tested before the base class.
-    if isinstance(trial, LintTrial):
-        return lint_entry(trial, description)
-    if isinstance(trial, FlowTrial):
-        return flow_entry(trial, description)
-    if isinstance(trial, EvolveTrial):
-        return evolve_entry(trial, description)
-    return query_entry(trial, description)
+def _decode_evolve(entry: dict) -> EvolveTrial:
+    return EvolveTrial(
+        policies=dict(entry.get("policies", {})),
+        script=[dict(op) for op in entry["script"]],
+        seed=entry.get("seed"),
+    )
 
 
-def _decode_tables(entry: dict) -> List[TableSpec]:
-    return [
-        TableSpec(
-            name=table["name"],
-            schema={
-                column: ScalarType[type_name]
-                for column, type_name in table["schema"].items()
-            },
-            rows=[decode_value(row) for row in table["rows"]],
-        )
-        for table in entry["tables"]
-    ]
+# -- the kind table ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Kind:
+    """Everything the harness needs to know about one trial kind."""
+
+    #: seed -> trial, deterministic.
+    build: Callable[[int], object]
+    #: trial -> ``None`` when it passes, else ``"category: detail"``.
+    check: Callable[[object], Optional[str]]
+    #: trial -> strictly smaller variants, most aggressive first.
+    candidates: Callable[[object], Iterator[object]]
+    #: trial -> the entry's kind-specific JSON fields.
+    encode: Callable[[object], dict]
+    #: entry -> trial.
+    decode: Callable[[dict], object]
+
+
+KINDS: Dict[str, Kind] = {
+    "flow": Kind(
+        build_flow_trial,
+        check_flow_trial,
+        flow_candidates,
+        _encode_flow,
+        _decode_flow,
+    ),
+    "query": Kind(
+        build_query_trial,
+        check_query_trial,
+        query_candidates,
+        _encode_query,
+        _decode_query,
+    ),
+    "lint": Kind(
+        build_lint_trial,
+        check_lint_trial,
+        flow_candidates,
+        _encode_flow,
+        _decode_flow,
+    ),
+    "evolve": Kind(
+        build_evolve_trial,
+        check_evolve_trial,
+        script_candidates,
+        _encode_evolve,
+        _decode_evolve,
+    ),
+}
+
+
+def _kind(name) -> Kind:
+    try:
+        return KINDS[name]
+    except KeyError:
+        raise ValueError(f"unknown corpus entry kind {name!r}") from None
+
+
+def encode_trial(kind: str, trial, description: str = "") -> dict:
+    """A trial of the named kind as a corpus entry dict."""
+    return {
+        "kind": kind,
+        "description": description,
+        "seed": trial.seed,
+        **_kind(kind).encode(trial),
+    }
 
 
 def decode_entry(entry: dict):
     """An entry dict back into the trial object it froze."""
-    if entry["kind"] in ("flow", "lint"):
-        trial_class = LintTrial if entry["kind"] == "lint" else FlowTrial
-        return trial_class(
-            tables=_decode_tables(entry),
-            flow=xlm.loads(entry["xlm"]),
-            seed=entry.get("seed"),
-        )
-    if entry["kind"] == "evolve":
-        return EvolveTrial(
-            policies=dict(entry.get("policies", {})),
-            script=[dict(op) for op in entry["script"]],
-            seed=entry.get("seed"),
-        )
-    if entry["kind"] == "query":
-        return QueryTrial(
-            documents=[
-                decode_value(document) for document in entry["documents"]
-            ],
-            query=decode_value(entry["query"]),
-            sort_key=entry.get("sort_key"),
-            limit=entry.get("limit"),
-            indexes=list(entry.get("indexes", [])),
-            session=entry.get("session", ""),
-            decoys={
-                session: [decode_value(document) for document in documents]
-                for session, documents in entry.get("decoys", {}).items()
-            },
-            seed=entry.get("seed"),
-        )
-    raise ValueError(f"unknown corpus entry kind {entry.get('kind')!r}")
+    return _kind(entry.get("kind")).decode(entry)
 
 
 def replay(entry: dict) -> Optional[str]:
-    """Re-run an entry's differential check; ``None`` means it passes."""
-    trial = decode_entry(entry)
-    if isinstance(trial, LintTrial):
-        return check_lint_trial(trial)
-    if isinstance(trial, FlowTrial):
-        return check_flow_trial(trial)
-    if isinstance(trial, EvolveTrial):
-        return check_evolve_trial(trial)
-    return check_query_trial(trial)
+    """Re-run an entry's check; ``None`` means it passes."""
+    kind = _kind(entry.get("kind"))
+    return kind.check(kind.decode(entry))
 
 
 def load_corpus(directory) -> List[Tuple[Path, dict]]:

@@ -81,20 +81,19 @@ def make_tables(rng: random.Random, prefix: str = "t") -> List[TableSpec]:
     return tables
 
 
-def inject_unhashable(rng: random.Random, tables: List[TableSpec]) -> bool:
+def inject_unhashable(rng: random.Random, tables: List[TableSpec]) -> None:
     """Replace one random value with a list, which no scalar type
     admits.  Only :class:`LooseDatabase` lets such a value through; it
     then must produce the *same* ``ExecutionError`` in both engine
-    modes when it reaches a hashing operator.  Returns whether an
-    injection happened (some tables have no rows)."""
+    modes when it reaches a hashing operator.  Tables without rows are
+    never picked; when every table is empty nothing is injected."""
     populated = [table for table in tables if table.rows]
     if not populated:
-        return False
+        return
     table = rng.choice(populated)
     row = rng.choice(table.rows)
     column = rng.choice(list(table.schema))
     row[column] = [1, 2]
-    return True
 
 
 class LooseDatabase:

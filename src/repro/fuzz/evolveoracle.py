@@ -14,27 +14,30 @@ session.  Three things must then hold:
   (``replay_unified_design``) must reproduce the evolved design — the
   typed ``partial.replaced`` envelopes carry enough to reconstruct it.
 * **Mode parity.**  The final design's ETL executes on a generated
-  TPC-H micro-database in both engine modes; every loaded table,
-  dimension history included, must hold the same rows in the same
-  order with the same types, and a failing run must fail with the same
-  error text.
+  TPC-H micro-database in both engine modes
+  (:func:`repro.fuzz.oracle.run_mode`); every loaded table, dimension
+  history included, must hold the same rows in the same order with the
+  same types, and a failing run must fail with the same error text.
 
 Scripts may contain ops that fail (merging concepts on different
 tables, retypes that break a requirement's expression typing): the
 evolution service promises transactional rollback, so a failed op must
-leave all three equivalences intact — the oracle records the failure
-as a note and keeps going.
+leave all three equivalences intact — the oracle skips it and keeps
+going.
 """
 
 from __future__ import annotations
 
+import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.quarry import Quarry
 from repro.core.requirements import RequirementBuilder
 from repro.errors import QuarryError
+from repro.etlmodel.equivalence import prune_columns
+from repro.fuzz.oracle import MODES, run_mode
 from repro.sources import tpch
 
 #: Effective date stamped on SCD validity windows — fixed, never wall
@@ -43,8 +46,6 @@ _EFFECTIVE_DATE = "2024-06-01"
 
 #: Scale factor for the mode-parity micro-database.
 _SCALE = 0.1
-
-_MODES = ("legacy", "columnar")
 
 #: Retype targets the generator draws from.
 _RETYPE_TYPES = ("integer", "decimal", "string", "boolean")
@@ -124,7 +125,6 @@ class EvolveTrial:
     policies: Dict[str, str]
     script: List[dict]
     seed: Optional[int] = None
-    notes: List[str] = field(default_factory=list)
 
 
 # -- generation --------------------------------------------------------------
@@ -317,38 +317,25 @@ def _apply(quarry: Quarry, op: dict) -> None:
         raise ValueError(f"unknown evolve op {kind!r}")
 
 
-def _mode_outcomes(md_schema, etl_flow, mode: str):
-    """Run the design's ETL in one mode; per-table canonical rows.
+@functools.lru_cache(maxsize=1)
+def _source_data() -> Dict[str, list]:
+    """The micro-database's TPC-H rows, generated once per process.
 
-    Every target compares through
-    :func:`repro.fuzz.oracle.canonical_rows`: ordered rows with their
-    types visible, so every SCD window column (version, validity dates,
-    current flag) and every measure must match to the byte.
+    ``Database.load_source`` copies the rows into column snapshots, so
+    no trial can change the cached source.
     """
+    return tpch.generate(_SCALE, seed=7)
+
+
+def _micro_database(md_schema):
+    """A fresh TPC-H micro-database with the design's star tables."""
     from repro.core.deployer import Deployer
     from repro.engine.database import Database
-    from repro.engine.executor import Executor
-    from repro.etlmodel.equivalence import prune_columns
-    from repro.fuzz.oracle import canonical_rows
 
     database = Database()
-    database.load_source(tpch.schema(), tpch.generate(_SCALE, seed=7))
+    database.load_source(tpch.schema(), _source_data())
     Deployer()._create_star_tables(md_schema, database)
-    flow = prune_columns(etl_flow)
-    try:
-        Executor(database, mode=mode).execute(flow)
-    except Exception as exc:  # error parity is part of the contract
-        return ("error", f"{type(exc).__name__}: {exc}")
-    targets = sorted(
-        {node.table for node in flow.nodes() if node.kind == "Loader"}
-    )
-    return (
-        "ok",
-        {
-            target: canonical_rows(database.scan(target).rows)
-            for target in targets
-        },
-    )
+    return database
 
 
 def check_evolve_trial(trial: EvolveTrial) -> Optional[str]:
@@ -366,13 +353,11 @@ def check_evolve_trial(trial: EvolveTrial) -> Optional[str]:
         scd_policies=dict(trial.policies),
         scd_effective_date=_EFFECTIVE_DATE,
     )
-    trial.notes.clear()
     for index, op in enumerate(trial.script):
         try:
             _apply(quarry, op)
-        except QuarryError as exc:
-            # Expected failure mode: the op must have rolled back.
-            trial.notes.append(f"op {index} {op['op']}: {exc}")
+        except QuarryError:
+            continue  # expected failure mode: the op must have rolled back
         except Exception as exc:
             return (
                 f"evolve-crash: op {index} {op!r} raised "
@@ -392,14 +377,15 @@ def check_evolve_trial(trial: EvolveTrial) -> Optional[str]:
         )
 
     md_schema, etl_flow = quarry.unified_design()
-    baseline = _mode_outcomes(md_schema, etl_flow, _MODES[0])
-    for mode in _MODES[1:]:
-        outcome = _mode_outcomes(md_schema, etl_flow, mode)
-        if outcome != baseline:
-            return (
-                f"evolve-mode-divergence: {_MODES[0]} and {mode} "
-                f"disagree on the final design"
-            )
+    flow = prune_columns(etl_flow)
+    legacy, columnar = (
+        run_mode(mode, _micro_database(md_schema), flow) for mode in MODES
+    )
+    if legacy != columnar:
+        return (
+            "evolve-mode-divergence: legacy and columnar disagree on the "
+            "final design"
+        )
 
     quarry.rebuild()
     rebuilt = _fingerprint(quarry.unified_design())
@@ -409,49 +395,3 @@ def check_evolve_trial(trial: EvolveTrial) -> Optional[str]:
             "from the incrementally evolved design"
         )
     return None
-
-
-# -- shrinking ---------------------------------------------------------------
-
-
-def shrink_evolve_trial(trial: EvolveTrial, budget: int = 250) -> EvolveTrial:
-    """Minimise the script while preserving the failure category.
-
-    Classic ddmin-lite: try dropping chunks of ops (halving the chunk
-    size down to single ops), re-checking after each removal.  Ops are
-    only ever *removed*, so the shrunk script is always a subsequence
-    of the original — replayable with the same policies.
-    """
-    detail = check_evolve_trial(trial)
-    if detail is None:
-        return trial
-    category = detail.split(":", 1)[0]
-    attempts = 0
-
-    def still_fails(candidate: EvolveTrial) -> bool:
-        nonlocal attempts
-        attempts += 1
-        result = check_evolve_trial(candidate)
-        return result is not None and result.split(":", 1)[0] == category
-
-    script = list(trial.script)
-    chunk = max(1, len(script) // 2)
-    while chunk >= 1 and attempts < budget:
-        index = 0
-        while index < len(script) and attempts < budget:
-            candidate_script = script[:index] + script[index + chunk :]
-            candidate = EvolveTrial(
-                policies=dict(trial.policies),
-                script=candidate_script,
-                seed=trial.seed,
-            )
-            if candidate_script and still_fails(candidate):
-                script = candidate_script
-            else:
-                index += chunk
-        chunk //= 2
-
-    shrunk = EvolveTrial(
-        policies=dict(trial.policies), script=script, seed=trial.seed
-    )
-    return shrunk if still_fails(shrunk) else trial

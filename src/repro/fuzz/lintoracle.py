@@ -18,8 +18,9 @@ Warnings (``QRY203``: *possibly* unhashable) deliberately block nothing
 — the analysis is three-valued exactly so that "may fail" never has to
 agree with anything.
 
-Disagreements shrink like any other fuzz failure and freeze into the
-regression corpus as ``"lint"`` entries.
+Lint trials are plain :class:`~repro.fuzz.flowgen.FlowTrial` objects:
+disagreements shrink through the flow candidates like any other fuzz
+failure and freeze into the regression corpus as ``"lint"`` entries.
 """
 
 from __future__ import annotations
@@ -30,12 +31,8 @@ from typing import Dict, Optional, Tuple
 from repro.analysis import LintReport, lint
 from repro.fuzz.datagen import inject_unhashable, make_tables
 from repro.fuzz.flowgen import FlowTrial, build_flow
-from repro.fuzz.oracle import execute_flow
+from repro.fuzz.oracle import MODES, execute_flow
 from repro.sources.schema import SourceSchema, make_table
-
-
-class LintTrial(FlowTrial):
-    """A flow trial checked for static/dynamic agreement, not parity."""
 
 
 def trial_lint_inputs(
@@ -96,13 +93,11 @@ def check_lint_trial(trial: FlowTrial) -> Optional[str]:
     report = lint_flow_trial(trial)
     codes = set(report.codes())
 
-    legacy = execute_flow("legacy", trial)
-    columnar = execute_flow("columnar", trial)
+    outcomes = {mode: execute_flow(mode, trial) for mode in MODES}
 
     if "QRY202" in codes:
         # Direction B: a definite hazard must actually kill the flow.
-        for mode, outcome in (("legacy", legacy), ("columnar", columnar)):
-            kind, _detail = outcome
+        for mode, (kind, _detail) in outcomes.items():
             if kind != "error":
                 finding = report.by_code("QRY202")[0]
                 return (
@@ -113,8 +108,7 @@ def check_lint_trial(trial: FlowTrial) -> Optional[str]:
 
     if codes.isdisjoint(_UNCLEAN):
         # Direction A: no static findings, so no static-class failures.
-        for mode, outcome in (("legacy", legacy), ("columnar", columnar)):
-            kind, detail = outcome
+        for mode, (kind, detail) in outcomes.items():
             if kind == "error" and _static_class(str(detail)):
                 return (
                     f"lint-divergence: lint-clean flow failed in {mode} "
@@ -124,7 +118,7 @@ def check_lint_trial(trial: FlowTrial) -> Optional[str]:
     return None
 
 
-def build_lint_trial(seed: int) -> LintTrial:
+def build_lint_trial(seed: int) -> FlowTrial:
     """The deterministic lint trial for a seed.
 
     Same recipe as :func:`repro.fuzz.flowgen.build_flow_trial` but on
@@ -133,14 +127,7 @@ def build_lint_trial(seed: int) -> LintTrial:
     """
     rng = random.Random(f"lint:{seed}")
     tables = make_tables(rng)
-    notes = []
-    if rng.random() < 0.5 and inject_unhashable(rng, tables):
-        notes.append("unhashable value injected")
+    if rng.random() < 0.5:
+        inject_unhashable(rng, tables)
     flow = build_flow(rng, tables)
-    return LintTrial(tables=tables, flow=flow, seed=seed, notes=notes)
-
-
-def shrink_lint_trial(trial: FlowTrial, budget: int = 250) -> FlowTrial:
-    from repro.fuzz.shrink import shrink_flow_trial
-
-    return shrink_flow_trial(trial, check=check_lint_trial, budget=budget)
+    return FlowTrial(tables=tables, flow=flow, seed=seed)

@@ -1,5 +1,9 @@
 """The differential oracle: what makes a trial pass or fail.
 
+The harness every kind shares: :func:`run_mode` executes one flow in
+one of :data:`MODES` and returns the :func:`outcome` of
+:func:`loaded_rows`, every loader target's :func:`canonical_rows`.
+
 A flow trial passes when
 
 * ``Executor(mode="columnar")`` and ``Executor(mode="legacy")`` load
@@ -21,7 +25,7 @@ which :class:`repro.fuzz.datagen.LooseDatabase` lets through.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine.executor import Executor
 from repro.fuzz.datagen import LooseDatabase
@@ -35,38 +39,62 @@ from repro.xformats import xlm
 
 Outcome = Tuple[str, object]
 
+#: The executor modes every kind compares, the reference first.
+MODES = ("legacy", "columnar")
+
+
+def outcome(compute) -> Outcome:
+    """``("ok", compute())``, or ``("error", "TypeName: message")``."""
+    try:
+        return ("ok", compute())
+    except Exception as exc:  # error parity is part of the contract
+        return ("error", f"{type(exc).__name__}: {exc}")
+
 
 def canonical_rows(rows) -> List[str]:
-    """An order-sensitive, type-strict fingerprint of a loaded table.
+    """An order-sensitive, type-strict fingerprint of rows or documents.
 
     Both engine modes promise fully deterministic row order (stable
     NULLs-first sorts, insertion-ordered groups, first-occurrence
-    distinct), so the oracle compares ordered lists, not multisets —
-    an order bug in either mode is a real divergence.
+    distinct), and ``find()`` promises collection (or sort) order, so
+    the oracle compares ordered lists, not multisets — an order bug is
+    a real divergence.
     """
     return [repr(sorted(row.items())) for row in rows]
 
 
-def execute_flow(mode: str, trial: FlowTrial, flow=None) -> Outcome:
-    """Run the trial's flow (or a substitute) on a fresh database.
-
-    Returns ``("ok", {target: canonical rows})`` or
-    ``("error", "TypeName: message")`` — both engines must produce the
-    *same* outcome, errors included.
-    """
-    database = LooseDatabase.from_specs(trial.tables)
-    executor = Executor(database, mode=mode)
-    flow = flow if flow is not None else trial.flow
-    try:
-        executor.execute(flow)
-    except Exception as exc:  # error parity is part of the contract
-        return ("error", f"{type(exc).__name__}: {exc}")
+def loaded_rows(database, flow) -> Dict[str, List[str]]:
+    """``{target: canonical rows}`` for every loader target of ``flow``."""
     targets = sorted(
         {node.table for node in flow.nodes() if node.kind == "Loader"}
     )
-    return (
-        "ok",
-        {target: canonical_rows(database.scan(target).rows) for target in targets},
+    return {
+        target: canonical_rows(database.scan(target).rows)
+        for target in targets
+    }
+
+
+def run_mode(mode: str, database, flow) -> Outcome:
+    """Execute ``flow`` on ``database`` in one executor mode.
+
+    Returns ``("ok", loaded_rows(database, flow))`` or ``("error",
+    "TypeName: message")`` — both modes must produce the *same*
+    outcome, errors included.
+    """
+
+    def loaded():
+        Executor(database, mode=mode).execute(flow)
+        return loaded_rows(database, flow)
+
+    return outcome(loaded)
+
+
+def execute_flow(mode: str, trial: FlowTrial, flow=None) -> Outcome:
+    """Run the trial's flow (or a substitute) on a fresh database."""
+    return run_mode(
+        mode,
+        LooseDatabase.from_specs(trial.tables),
+        flow if flow is not None else trial.flow,
     )
 
 
@@ -95,8 +123,7 @@ def check_flow_trial(trial: FlowTrial) -> Optional[str]:
     The category is the text before the first colon; the shrinker uses
     it to keep a reduced trial failing *for the same reason*.
     """
-    legacy = execute_flow("legacy", trial)
-    columnar = execute_flow("columnar", trial)
+    legacy, columnar = (execute_flow(mode, trial) for mode in MODES)
     if legacy != columnar:
         return _describe_outcomes("mode-divergence", legacy, columnar)
 
@@ -112,18 +139,6 @@ def check_flow_trial(trial: FlowTrial) -> Optional[str]:
     if replayed != columnar:
         return _describe_outcomes("roundtrip", columnar, replayed)
     return None
-
-
-def _query_outcome(compute) -> Outcome:
-    try:
-        return ("ok", compute())
-    except Exception as exc:
-        return ("error", f"{type(exc).__name__}: {exc}")
-
-
-def _canonical_documents(documents: List[dict]) -> List[str]:
-    # Order-SENSITIVE: find() promises collection order (or sort order).
-    return [repr(sorted(document.items())) for document in documents]
 
 
 def check_query_trial(trial: QueryTrial) -> Optional[str]:
@@ -156,13 +171,13 @@ def check_query_trial(trial: QueryTrial) -> Optional[str]:
         if position % 2 == 1:
             collection.create_index(path)
 
-    actual = _query_outcome(
-        lambda: _canonical_documents(
+    actual = outcome(
+        lambda: canonical_rows(
             collection.find(trial.query, trial.sort_key, trial.limit)
         )
     )
-    expected = _query_outcome(
-        lambda: _canonical_documents(
+    expected = outcome(
+        lambda: canonical_rows(
             reference_find(
                 trial.documents, trial.query, trial.sort_key, trial.limit
             )
@@ -175,8 +190,8 @@ def check_query_trial(trial: QueryTrial) -> Optional[str]:
             f"sort_key={trial.sort_key!r}, limit={trial.limit!r})"
         )
 
-    actual_count = _query_outcome(lambda: collection.count(trial.query))
-    expected_count = _query_outcome(
+    actual_count = outcome(lambda: collection.count(trial.query))
+    expected_count = outcome(
         lambda: reference_count(trial.documents, trial.query)
     )
     if actual_count != expected_count:
@@ -186,13 +201,13 @@ def check_query_trial(trial: QueryTrial) -> Optional[str]:
         )
 
     for session, documents in sorted(trial.decoys.items()):
-        observed = _query_outcome(
-            lambda s=session: _canonical_documents(
+        observed = outcome(
+            lambda s=session: canonical_rows(
                 store.collection(namespaced("fuzz", s)).find()
             )
         )
-        untouched = _query_outcome(
-            lambda d=documents: _canonical_documents(reference_find(d))
+        untouched = outcome(
+            lambda d=documents: canonical_rows(reference_find(d))
         )
         if observed != untouched:
             return (

@@ -63,7 +63,6 @@ class QueryTrial:
     session: str = ""
     decoys: Dict[str, List[dict]] = field(default_factory=dict)
     seed: object = None
-    notes: List[str] = field(default_factory=list)
 
 
 # -- generation --------------------------------------------------------------

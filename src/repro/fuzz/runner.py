@@ -1,12 +1,17 @@
 """The fuzzing loop and the ``python -m repro.fuzz`` command line.
 
-Each integer seed yields one flow trial, one query trial, one lint
-trial (static/dynamic agreement) and one evolve trial (incremental
-design evolution versus full rebuild), all fully determined by the
-seed (string-seeded RNG, stable across platforms and
-``PYTHONHASHSEED``).  Failures are shrunk and written as corpus-format
-JSON into ``--failures-dir``; promote a file into
-``tests/fuzz/corpus/`` to pin the regression forever.
+Each integer seed yields one trial of every kind in
+:data:`repro.fuzz.corpus.KINDS` — flow, query, lint (static/dynamic
+agreement) and evolve (incremental design evolution versus full
+rebuild) — all fully determined by the seed (string-seeded RNG, stable
+across platforms and ``PYTHONHASHSEED``).  Failures are shrunk and
+written as corpus-format JSON into ``--failures-dir``; promote a file
+into ``tests/fuzz/corpus/`` to pin the regression forever.
+
+An oracle that raises is a failure too (``harness: TypeName:
+message``): its trial is shrunk against the same guarded check and
+saved like any other.  ``--replay`` reports a file it cannot read or
+decode the same way and goes on to the next file.
 
 Typical uses::
 
@@ -26,27 +31,19 @@ from pathlib import Path
 from typing import Callable, List, Optional
 
 from repro.fuzz import corpus
-from repro.fuzz.evolveoracle import (
-    build_evolve_trial,
-    check_evolve_trial,
-    shrink_evolve_trial,
-)
-from repro.fuzz.flowgen import build_flow_trial
-from repro.fuzz.lintoracle import (
-    build_lint_trial,
-    check_lint_trial,
-    shrink_lint_trial,
-)
-from repro.fuzz.oracle import check_flow_trial, check_query_trial
-from repro.fuzz.querygen import build_query_trial
-from repro.fuzz.shrink import shrink_flow_trial, shrink_query_trial
+from repro.fuzz.oracle import outcome
+from repro.fuzz.shrink import shrink as shrink_trial
 
-_KINDS = (
-    ("flow", build_flow_trial, check_flow_trial, shrink_flow_trial),
-    ("query", build_query_trial, check_query_trial, shrink_query_trial),
-    ("lint", build_lint_trial, check_lint_trial, shrink_lint_trial),
-    ("evolve", build_evolve_trial, check_evolve_trial, shrink_evolve_trial),
-)
+
+def _guarded(function: Callable[[object], Optional[str]]):
+    """``function``, with an exception it raises reported as a
+    ``harness: TypeName: message`` failure."""
+
+    def call(argument) -> Optional[str]:
+        kind, value = outcome(lambda: function(argument))
+        return value if kind == "ok" else f"harness: {value}"
+
+    return call
 
 
 def run(
@@ -61,11 +58,13 @@ def run(
     Returns a report dict: ``trials`` (count actually run), ``seeds``
     (count consumed), ``elapsed`` and ``failures`` — one record per
     failing trial with the seed, kind, oracle detail and the shrunk
-    trial as a corpus entry.
+    trial as a corpus entry (absent only when the trial could not be
+    built).
     """
     say = echo if echo is not None else (lambda message: None)
     started = time.monotonic()
     report = {"trials": 0, "seeds": 0, "failures": [], "elapsed": 0.0}
+    checks = {name: _guarded(kind.check) for name, kind in corpus.KINDS.items()}
     for seed in seeds:
         if (
             time_budget is not None
@@ -74,27 +73,28 @@ def run(
             say(f"time budget of {time_budget:.1f}s reached")
             break
         report["seeds"] += 1
-        for kind, build, check, reduce_trial in _KINDS:
-            try:
-                trial = build(seed)
-                detail = check(trial)
-            except Exception as exc:  # the harness itself must not die
-                detail = f"harness: {type(exc).__name__}: {exc}"
-                trial = None
+        for name, kind in corpus.KINDS.items():
             report["trials"] += 1
+            try:
+                trial = kind.build(seed)
+            except Exception as exc:  # the harness itself must not die
+                trial, detail = None, f"harness: {type(exc).__name__}: {exc}"
+            else:
+                detail = checks[name](trial)
             if detail is None:
                 continue
-            say(f"seed {seed} [{kind}] FAILED: {detail}")
-            record = {"seed": seed, "kind": kind, "detail": detail}
+            say(f"seed {seed} [{name}] FAILED: {detail}")
+            record = {"seed": seed, "kind": name, "detail": detail}
             if trial is not None:
-                shrunk = reduce_trial(trial) if shrink else trial
+                if shrink:
+                    trial = shrink_trial(trial, checks[name], kind.candidates)
                 record["entry"] = corpus.encode_trial(
-                    shrunk, description=detail.split("\n")[0][:200]
+                    name, trial, description=detail.split("\n")[0][:200]
                 )
                 if failures_dir is not None:
                     directory = Path(failures_dir)
                     directory.mkdir(parents=True, exist_ok=True)
-                    path = directory / f"seed{seed}_{kind}.json"
+                    path = directory / f"seed{seed}_{name}.json"
                     corpus.save_entry(path, record["entry"])
                     record["path"] = str(path)
                     say(
@@ -107,11 +107,13 @@ def run(
 
 
 def _replay_files(paths: List[str], say) -> int:
+    replay_file = _guarded(
+        lambda path: corpus.replay(json.loads(path.read_text()))
+    )
     failures = 0
     for raw_path in paths:
         path = Path(raw_path)
-        entry = json.loads(path.read_text())
-        detail = corpus.replay(entry)
+        detail = replay_file(path)
         if detail is None:
             say(f"{path}: PASS")
         else:

@@ -1,53 +1,61 @@
-"""Greedy minimisation of failing trials.
+"""Greedy minimisation of failing trials: one loop, one candidate order per kind.
 
-Not a full delta-debugger: a budgeted greedy loop that (a) drops flow
-nodes and loader branches, (b) drops table rows, (c) drops documents
-and simplifies queries — accepting a candidate only when it still fails
-with the *same category* (the text before the first colon of the
-oracle's description), so reduction cannot morph one bug into another.
-Every candidate is validated before checking; invalid flows are simply
-rejected.  The result is what lands in the regression corpus.
+Not a full delta-debugger: :func:`shrink` is a budgeted greedy loop
+that checks a kind's candidates in order, accepts the first one that
+still fails with the *same category* (the text before the first colon
+of the oracle's description), so reduction cannot morph one bug into
+another, and then starts over from it.  It stops when a pass accepts
+nothing or the budget is spent.  The candidate generators
+(:func:`flow_candidates`, :func:`query_candidates`,
+:func:`script_candidates`) yield strictly smaller variants, most
+aggressive first, each built with :func:`dataclasses.replace` so it
+keeps its trial type.  The result is what lands in the regression
+corpus.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
-
-from repro.fuzz.flowgen import FlowTrial
-from repro.fuzz.oracle import check_flow_trial, check_query_trial
-from repro.fuzz.datagen import TableSpec
-from repro.fuzz.querygen import QueryTrial
+from dataclasses import replace
+from typing import Callable, Iterator, List, Optional
 
 Check = Callable[[object], Optional[str]]
+Candidates = Callable[[object], Iterator[object]]
 
 
 def _category(detail: str) -> str:
     return detail.split(":", 1)[0]
 
 
-class _Budget:
-    def __init__(self, limit: int) -> None:
-        self.left = limit
+def shrink(
+    trial,
+    check: Check,
+    candidates: Candidates,
+    budget: int = 250,
+):
+    """A smaller trial failing with the same category (best effort).
 
-    def spend(self) -> bool:
-        if self.left <= 0:
-            return False
-        self.left -= 1
-        return True
+    Calls ``check`` at most ``1 + budget`` times: once on ``trial``,
+    then once per candidate tried.
+    """
+    detail = check(trial)
+    if detail is None:
+        return trial
+    category = _category(detail)
+    accepted = True
+    while accepted and budget > 0:
+        accepted = False
+        for candidate in candidates(trial):
+            if budget == 0:
+                break
+            budget -= 1
+            result = check(candidate)
+            if result is not None and _category(result) == category:
+                trial, accepted = candidate, True
+                break
+    return trial
 
 
-def _copy_tables(tables: List[TableSpec]) -> List[TableSpec]:
-    return [
-        TableSpec(
-            name=table.name,
-            schema=dict(table.schema),
-            rows=[dict(row) for row in table.rows],
-        )
-        for table in tables
-    ]
-
-
-# -- flow trials --------------------------------------------------------------
+# -- flow and lint trials ------------------------------------------------------
 
 
 def _prune_dead(flow) -> None:
@@ -64,7 +72,9 @@ def _prune_dead(flow) -> None:
                 break
 
 
-def _without_node(trial: FlowTrial, name: str) -> Optional[FlowTrial]:
+def _without_node(trial, name: str):
+    """The trial minus one node, its dead branch and the tables no
+    datastore reads any more; ``None`` when that flow is invalid."""
     flow = trial.flow.copy()
     try:
         flow.remove_node(name)
@@ -75,96 +85,33 @@ def _without_node(trial: FlowTrial, name: str) -> Optional[FlowTrial]:
         return None
     if flow.validate():
         return None
-    # type(trial), not FlowTrial: subclasses (LintTrial) must survive
-    # shrinking so the corpus encodes them under their own kind.
-    return type(trial)(
-        tables=trial.tables, flow=flow, seed=trial.seed, notes=trial.notes
-    )
+    used = {node.table for node in flow.nodes() if node.kind == "Datastore"}
+    tables = [table for table in trial.tables if table.name in used]
+    return replace(trial, tables=tables, flow=flow)
 
 
-def _drop_unused_tables(trial: FlowTrial) -> FlowTrial:
-    used = {
-        node.table
-        for node in trial.flow.nodes()
-        if node.kind == "Datastore"
-    }
-    kept = [table for table in trial.tables if table.name in used]
-    if len(kept) == len(trial.tables):
-        return trial
-    return type(trial)(
-        tables=kept, flow=trial.flow, seed=trial.seed, notes=trial.notes
-    )
+def _row_cuts(rows: List[dict]) -> Iterator[List[dict]]:
+    """No rows, each half, then every single row removed."""
+    half = len(rows) // 2
+    if half:
+        yield from ([], rows[:half], rows[half:])
+    for index in range(len(rows)):
+        yield rows[:index] + rows[index + 1:]
 
 
-def _with_rows(trial: FlowTrial, table_name: str, rows: List[dict]) -> FlowTrial:
-    tables = _copy_tables(trial.tables)
-    for table in tables:
-        if table.name == table_name:
-            table.rows = [dict(row) for row in rows]
-    return type(trial)(
-        tables=tables, flow=trial.flow, seed=trial.seed, notes=trial.notes
-    )
-
-
-def shrink_flow_trial(
-    trial: FlowTrial,
-    check: Check = check_flow_trial,
-    budget: int = 250,
-) -> FlowTrial:
-    """A smaller trial failing with the same category (best effort)."""
-    detail = check(trial)
-    if detail is None:
-        return trial
-    category = _category(detail)
-    budget = _Budget(budget)
-
-    def still_fails(candidate: Optional[FlowTrial]) -> bool:
-        if candidate is None or not budget.spend():
-            return False
-        result = check(candidate)
-        return result is not None and _category(result) == category
-
-    improved = True
-    while improved and budget.left > 0:
-        improved = False
-        # Drop whole nodes (loaders take their dead branch with them).
-        for name in list(trial.flow.node_names()):
-            operation = trial.flow.node(name)
-            if operation.kind == "Datastore":
-                continue
-            candidate = _without_node(trial, name)
-            if still_fails(candidate):
-                trial = _drop_unused_tables(candidate)
-                improved = True
-                break
-        if improved:
+def flow_candidates(trial) -> Iterator[object]:
+    """Each non-Datastore node dropped, then each table's rows cut."""
+    for name in list(trial.flow.node_names()):
+        if trial.flow.node(name).kind == "Datastore":
             continue
-        # Halve, then nibble, table rows.
-        for table in trial.tables:
-            rows = table.rows
-            if not rows:
-                continue
-            half = len(rows) // 2
-            for chunk in ([], rows[:half], rows[half:]):
-                if len(chunk) == len(rows):
-                    continue
-                candidate = _with_rows(trial, table.name, chunk)
-                if still_fails(candidate):
-                    trial = candidate
-                    improved = True
-                    break
-            if improved:
-                break
-            for index in range(len(rows)):
-                reduced = rows[:index] + rows[index + 1:]
-                candidate = _with_rows(trial, table.name, reduced)
-                if still_fails(candidate):
-                    trial = candidate
-                    improved = True
-                    break
-            if improved:
-                break
-    return _drop_unused_tables(trial)
+        candidate = _without_node(trial, name)
+        if candidate is not None:
+            yield candidate
+    for position, table in enumerate(trial.tables):
+        for rows in _row_cuts(table.rows):
+            tables = list(trial.tables)
+            tables[position] = replace(table, rows=rows)
+            yield replace(trial, tables=tables)
 
 
 # -- query trials --------------------------------------------------------------
@@ -208,95 +155,50 @@ def _query_candidates(query) -> List[object]:
     return candidates
 
 
-def shrink_query_trial(
-    trial: QueryTrial,
-    check: Check = check_query_trial,
-    budget: int = 250,
-) -> QueryTrial:
-    detail = check(trial)
-    if detail is None:
-        return trial
-    category = _category(detail)
-    budget = _Budget(budget)
-
-    def variant(**changes) -> QueryTrial:
-        fields = {
-            "documents": [dict(document) for document in trial.documents],
-            "query": trial.query,
-            "sort_key": trial.sort_key,
-            "limit": trial.limit,
-            "indexes": list(trial.indexes),
-            "session": trial.session,
-            "decoys": {
-                session: [dict(document) for document in documents]
-                for session, documents in trial.decoys.items()
-            },
-            "seed": trial.seed,
-            "notes": trial.notes,
-        }
-        fields.update(changes)
-        return QueryTrial(**fields)
-
-    def still_fails(candidate: QueryTrial) -> bool:
-        if not budget.spend():
-            return False
-        result = check(candidate)
-        return result is not None and _category(result) == category
-
-    improved = True
-    while improved and budget.left > 0:
-        improved = False
-        for index in range(len(trial.documents)):
-            documents = (
-                trial.documents[:index] + trial.documents[index + 1:]
-            )
-            candidate = variant(documents=documents)
-            if still_fails(candidate):
-                trial = candidate
-                improved = True
-                break
-        if improved:
-            continue
-        if trial.limit is not None and still_fails(variant(limit=None)):
-            trial = variant(limit=None)
-            improved = True
-            continue
-        if trial.sort_key is not None and still_fails(
-            variant(sort_key=None)
-        ):
-            trial = variant(sort_key=None)
-            improved = True
-            continue
-        for index in range(len(trial.indexes)):
-            indexes = trial.indexes[:index] + trial.indexes[index + 1:]
-            candidate = variant(indexes=indexes)
-            if still_fails(candidate):
-                trial = candidate
-                improved = True
-                break
-        if improved:
-            continue
-        for dropped in sorted(trial.decoys):
-            decoys = {
+def query_candidates(trial) -> Iterator[object]:
+    """Documents, limit, sort key, indexes, decoys, session, then query."""
+    documents = trial.documents
+    for index in range(len(documents)):
+        yield replace(
+            trial, documents=documents[:index] + documents[index + 1:]
+        )
+    if trial.limit is not None:
+        yield replace(trial, limit=None)
+    if trial.sort_key is not None:
+        yield replace(trial, sort_key=None)
+    indexes = trial.indexes
+    for index in range(len(indexes)):
+        yield replace(trial, indexes=indexes[:index] + indexes[index + 1:])
+    for dropped in sorted(trial.decoys):
+        yield replace(
+            trial,
+            decoys={
                 session: documents
                 for session, documents in trial.decoys.items()
                 if session != dropped
-            }
-            candidate = variant(decoys=decoys)
-            if still_fails(candidate):
-                trial = candidate
-                improved = True
-                break
-        if improved:
-            continue
-        if trial.session and still_fails(variant(session="")):
-            trial = variant(session="")
-            improved = True
-            continue
-        for simpler in _query_candidates(trial.query):
-            candidate = variant(query=simpler)
-            if still_fails(candidate):
-                trial = candidate
-                improved = True
-                break
-    return trial
+            },
+        )
+    if trial.session:
+        yield replace(trial, session="")
+    for simpler in _query_candidates(trial.query):
+        yield replace(trial, query=simpler)
+
+
+# -- evolve trials -------------------------------------------------------------
+
+
+def script_candidates(trial) -> Iterator[object]:
+    """The script minus one chunk, chunks halving from ``len // 2`` to 1.
+
+    Ops are only ever *removed*, so every candidate's script is a
+    non-empty subsequence of the original, replayable with the same
+    policies.
+    """
+    script = trial.script
+    chunk = len(script) // 2
+    while chunk >= 1:
+        for start in range(0, len(script), chunk):
+            rest = script[:start] + script[start + chunk:]
+            if rest:
+                yield replace(trial, script=rest)
+        chunk //= 2

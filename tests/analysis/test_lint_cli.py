@@ -5,9 +5,9 @@ import json
 import pytest
 
 from repro.expressions.types import ScalarType
-from repro.fuzz.corpus import lint_entry, save_entry
+from repro.fuzz.corpus import encode_trial, save_entry
 from repro.fuzz.datagen import TableSpec
-from repro.fuzz.lintoracle import LintTrial
+from repro.fuzz.flowgen import FlowTrial
 from repro.lint import main
 from repro.xformats import xlm
 
@@ -18,7 +18,7 @@ from tests.analysis.conftest import build_acceptance_flow
 def acceptance_json(tmp_path):
     """The acceptance scenario frozen as a corpus-format lint entry."""
     flow, tables = build_acceptance_flow()
-    trial = LintTrial(
+    trial = FlowTrial(
         tables=[
             TableSpec(
                 name="a",
@@ -35,7 +35,7 @@ def acceptance_json(tmp_path):
         seed=None,
     )
     path = tmp_path / "acceptance_lint.json"
-    save_entry(path, lint_entry(trial, "acceptance scenario"))
+    save_entry(path, encode_trial("lint", trial, "acceptance scenario"))
     return path
 
 

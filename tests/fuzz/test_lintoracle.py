@@ -2,11 +2,9 @@
 
 from repro.fuzz import corpus
 from repro.fuzz.lintoracle import (
-    LintTrial,
     build_lint_trial,
     check_lint_trial,
     lint_flow_trial,
-    shrink_lint_trial,
 )
 from repro.xformats import xlm
 
@@ -36,19 +34,13 @@ def test_oracle_agrees_over_a_seed_range():
     assert disagreements == []
 
 
-def test_corpus_round_trip_preserves_the_subclass():
+def test_corpus_round_trip_replays_as_a_lint_entry():
     trial = build_lint_trial(5)
-    entry = corpus.encode_trial(trial, "round trip")
+    entry = corpus.encode_trial("lint", trial, "round trip")
     assert entry["kind"] == "lint"
     decoded = corpus.decode_entry(entry)
-    assert isinstance(decoded, LintTrial)
     assert xlm.dumps(decoded.flow) == xlm.dumps(trial.flow)
-
-
-def test_shrinking_preserves_the_subclass():
-    trial = build_lint_trial(9)
-    shrunk = shrink_lint_trial(trial, budget=20)
-    assert isinstance(shrunk, LintTrial)
+    assert corpus.replay(entry) is None
 
 
 def test_lint_flow_trial_returns_a_report():

@@ -69,7 +69,9 @@ def test_corpus_round_trips_through_json():
     corpus would silently pin a *different* regression."""
     for path, entry in corpus.load_corpus(CORPUS_DIR):
         trial = corpus.decode_entry(entry)
-        again = corpus.encode_trial(trial, entry["description"])
+        again = corpus.encode_trial(
+            entry["kind"], trial, entry["description"]
+        )
         assert again["kind"] == entry["kind"], path.name
         for key in entry:
             if key == "seed":
@@ -81,7 +83,7 @@ def test_corpus_round_trips_through_json():
 def test_retired_parallel_kind_is_rejected(kind):
     """An old failure file of a retired kind (``parallel``, ``planned``)
     must fail loudly, not replay as some other check."""
-    entry = corpus.flow_entry(build_flow_trial(7))
+    entry = corpus.encode_trial("flow", build_flow_trial(7))
     entry["kind"] = kind
     with pytest.raises(
         ValueError, match=f"unknown corpus entry kind '{kind}'"
