@@ -113,7 +113,7 @@ class TestAblation:
         )
         # The first three corpus requirements have distinct fact tables,
         # so raw pairwise consolidation is well-defined without the
-        # facade's loader retargeting.
+        # session's loader retargeting.
         partials = [
             interpreter.interpret(requirement).etl_flow
             for requirement in requirement_corpus(3)

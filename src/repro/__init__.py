@@ -26,9 +26,9 @@ Quickstart::
     md_schema, etl_flow = quarry.unified_design()
 """
 
-from repro.core.quarry import ChangeReport, DesignStatus, Quarry
 from repro.core.requirements import RequirementBuilder
-from repro.core.services import DesignSession
+from repro.core.services import ChangeReport, DesignSession, DesignStatus
+from repro.core.services.session import Quarry
 from repro.errors import QuarryError
 
 __version__ = "1.0.0"

@@ -4,10 +4,10 @@
 * :mod:`repro.core.interpreter` — Requirements Interpreter,
 * :mod:`repro.core.integrator` — Design Integrator (MD + ETL modules),
 * :mod:`repro.core.deployer` — Design Deployer,
-* :mod:`repro.core.quarry` — the end-to-end facade wiring them through
-  the communication & metadata layer.
+* :mod:`repro.core.services` — the design session (``Quarry``) wiring
+  them through the communication & metadata layer.
 """
 
-from repro.core.quarry import Quarry
+from repro.core.services.session import Quarry
 
 __all__ = ["Quarry"]

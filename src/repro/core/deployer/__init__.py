@@ -9,26 +9,15 @@ right-hand side):
   XML for the ETL flow,
 * :mod:`repro.core.deployer.sqlscript` — a pure-SQL rendering of the
   ETL flow (INSERT INTO ... SELECT) for engines without an ETL tool,
-* :mod:`repro.core.deployer.registry` — the platform backend registry:
-  generators register by platform name (``postgres``, ``sqlite``,
-  ``pdi``, ``sql``, ``pig``); new platforms plug in without touching
-  the facade,
-* :mod:`repro.core.deployer.deployer` — the facade: route ``deploy``
-  through the registry and *deploy natively* on the embedded engine
-  (create tables, run the flow, ready the star for OLAP queries).
+* :mod:`repro.core.deployer.pig` — an Apache Pig Latin rendering of
+  the ETL flow,
+* :mod:`repro.core.deployer.deployer` — :class:`Deployer`: look the
+  platform up in one generator table (``postgres``, ``sqlite``,
+  ``pdi``, ``sql``, ``pig``) or *deploy natively* on the embedded
+  engine (create tables, run the flow, ready the star for OLAP
+  queries).
 """
 
 from repro.core.deployer.deployer import Deployer, DeploymentResult
-from repro.core.deployer.registry import (
-    BackendRegistry,
-    DeployerBackend,
-    default_registry,
-)
 
-__all__ = [
-    "BackendRegistry",
-    "Deployer",
-    "DeployerBackend",
-    "DeploymentResult",
-    "default_registry",
-]
+__all__ = ["Deployer", "DeploymentResult"]

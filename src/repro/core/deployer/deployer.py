@@ -1,4 +1,4 @@
-"""The Design Deployer facade.
+"""The Design Deployer.
 
 "Quarry supports the deployment of the unified design solutions over the
 supported storage repositories and execution platforms [...] Quarry is
@@ -8,26 +8,24 @@ extensible in that it can link to a variety of execution platforms"
 * ``postgres`` / ``sqlite`` — generate the DDL script (Figure 3),
 * ``pdi`` — generate the Pentaho PDI ``.ktr`` transformation,
 * ``sql`` — generate the pure-SQL INSERT-SELECT rendering of the flow,
+* ``pig`` — generate the Apache Pig Latin script,
 * ``native`` — actually deploy: create the star's tables in the
   embedded engine, execute the ETL flow, and return a queryable
   database.
 
-The generators are also registered into a
-:class:`repro.xformats.registry.FormatRegistry`, exercising the plug-in
-parser capability of the metadata layer.
+Every generating platform is one entry of :data:`GENERATORS`, a pure
+``(md_schema, etl_flow) -> {artefact: text}`` function; adding a
+platform is one entry there.  The generators are also registered into
+a :class:`repro.xformats.registry.FormatRegistry`, exercising the
+plug-in parser capability of the metadata layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
-from repro.core.deployer import ddl, pdi, sqlscript
-from repro.core.deployer.registry import (
-    BackendRegistry,
-    builtin_platforms,
-    default_registry,
-)
+from repro.core.deployer import ddl, ddl_import, pdi, pig, sqlscript
 from repro.engine.database import Database, TableDef
 from repro.engine.executor import ExecutionStats, Executor
 from repro.errors import DeploymentError
@@ -36,9 +34,19 @@ from repro.mdmodel.model import MDSchema
 from repro.sources.schema import SourceSchema
 from repro.xformats.registry import FormatRegistry
 
-#: Kept for backward compatibility; the authoritative list is the
-#: backend registry (plus the facade-level ``native`` platform).
-PLATFORMS = builtin_platforms()
+#: Each generating platform's artefact generator, in listing order.
+#: ``native`` executes the flow instead, so it is the deployer's own case.
+GENERATORS: Dict[str, Callable[[MDSchema, EtlFlow], Dict[str, str]]] = {
+    "postgres": lambda md, etl: {
+        "ddl": ddl.generate(md, dialect="postgres", database_name="demo")
+    },
+    "sqlite": lambda md, etl: {
+        "ddl": ddl.generate(md, dialect="sqlite", database_name="demo")
+    },
+    "pdi": lambda md, etl: {"ktr": pdi.generate(etl)},
+    "sql": lambda md, etl: {"script": sqlscript.generate(etl)},
+    "pig": lambda md, etl: {"pig": pig.generate(etl)},
+}
 
 
 @dataclass
@@ -55,28 +63,17 @@ class DeploymentResult:
 class Deployer:
     """Deploys unified design solutions."""
 
-    def __init__(
-        self,
-        source_schema: Optional[SourceSchema] = None,
-        registry: Optional[FormatRegistry] = None,
-        backends: Optional[BackendRegistry] = None,
-    ) -> None:
+    def __init__(self, source_schema: Optional[SourceSchema] = None) -> None:
         self._source_schema = source_schema
-        self._registry = registry if registry is not None else FormatRegistry()
-        self._backends = backends if backends is not None else default_registry()
+        self._registry = FormatRegistry()
         self._register_exporters()
 
     @property
     def registry(self) -> FormatRegistry:
         return self._registry
 
-    @property
-    def backends(self) -> BackendRegistry:
-        """The platform backend registry this deployer routes through."""
-        return self._backends
-
     def platforms(self) -> List[str]:
-        return self._backends.names() + ["native"]
+        return list(GENERATORS) + ["native"]
 
     def deploy(
         self,
@@ -86,10 +83,10 @@ class Deployer:
         source_database: Optional[Database] = None,
     ) -> DeploymentResult:
         """Generate artefacts for (or natively execute on) a platform."""
-        if platform != "native" and not self._backends.has(platform):
-            supported = tuple(self._backends.names()) + ("native",)
+        if platform != "native" and platform not in GENERATORS:
             raise DeploymentError(
-                f"unknown platform {platform!r}; supported: {supported}"
+                f"unknown platform {platform!r}; "
+                f"supported: {tuple(self.platforms())}"
             )
         # Deployment-time optimisation: narrow every branch to the
         # columns it uses (integration keeps flows wide for matching).
@@ -98,11 +95,10 @@ class Deployer:
         etl_flow = prune_columns(etl_flow)
         if platform == "native":
             return self._deploy_native(md_schema, etl_flow, source_database)
-        backend = self._backends.lookup(platform)
         return DeploymentResult(
             design=md_schema.name,
             platform=platform,
-            artifacts=backend.generate(md_schema, etl_flow),
+            artifacts=GENERATORS[platform](md_schema, etl_flow),
         )
 
     def _deploy_native(
@@ -191,8 +187,6 @@ class Deployer:
             description="SQL INSERT-SELECT script",
             replace=True,
         )
-        from repro.core.deployer import ddl_import, pig
-
         self._registry.register(
             "etl_flow",
             "piglatin",

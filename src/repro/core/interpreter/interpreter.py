@@ -32,8 +32,9 @@ class PartialDesign:
     Usually the interpreter's output; ``mapping`` is ``None`` when the
     partial design came from an external design tool (§2.2 allows
     plugging those in, assuming sound designs that satisfy the
-    requirement — which :meth:`repro.core.quarry.Quarry.add_partial_design`
-    re-checks anyway).
+    requirement — which
+    :meth:`repro.core.services.DesignSession.add_partial_design` re-checks
+    anyway).
 
     ``trees`` holds the artefact's XML→JSON trees, keyed ``xrq``,
     ``xmd`` and ``xlm``: encoded once (the requirement by elicitation,

@@ -7,8 +7,7 @@ that communicate *only* through typed, versioned artifact envelopes
 (xRQ/xMD/xLM payloads) published on an :class:`ArtifactBus` and
 persisted in the metadata repository.  A :class:`DesignSession` wires
 one set of services onto one bus over a session-scoped repository
-view; the :class:`~repro.core.quarry.Quarry` facade is a thin shim
-over one default session.
+view; ``Quarry`` is the same class under the paper's name.
 """
 
 from repro.core.services.bus import ArtifactBus

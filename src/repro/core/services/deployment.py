@@ -1,18 +1,18 @@
 """The Design Deployment service.
 
 Terminal stage of the pipeline (§2.4): takes the session's unified
-design, runs the lint gate, routes the deployment through the platform
-backend registry (or the embedded ``native`` engine), records the
-produced artifacts in the metadata repository, and announces every
-deployment as a ``design.deployed`` envelope on the ``deployments``
-topic.
+design, runs the lint gate, hands the design to the
+:class:`~repro.core.deployer.Deployer` (a platform generator or the
+embedded ``native`` engine), records the produced artifacts in the
+metadata repository, and announces every deployment as a
+``design.deployed`` envelope on the ``deployments`` topic.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-from repro.core.deployer import BackendRegistry, Deployer, DeploymentResult
+from repro.core.deployer import Deployer, DeploymentResult
 from repro.core.services.bus import ArtifactBus
 from repro.engine.database import Database
 from repro.errors import LintError
@@ -37,20 +37,16 @@ class DeploymentService:
         schema: SourceSchema,
         repository,
         bus: ArtifactBus,
-        backends: Optional[BackendRegistry] = None,
     ) -> None:
         self._ontology = ontology
         self._schema = schema
         self._repository = repository
         self._bus = bus
-        self._deployer = Deployer(source_schema=schema, backends=backends)
+        self._deployer = Deployer(source_schema=schema)
 
     @property
     def deployer(self) -> Deployer:
         return self._deployer
-
-    def platforms(self) -> List[str]:
-        return self._deployer.platforms()
 
     # -- static analysis ---------------------------------------------------
 

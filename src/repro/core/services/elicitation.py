@@ -2,10 +2,10 @@
 
 Front door of the pipeline (§2.1): accepts information requirements —
 built programmatically, via the assistance backends (fact/perspective
-suggestions, business-vocabulary resolution), or as raw xRQ documents —
-and publishes each accepted requirement as an xRQ artifact envelope on
-the ``requirements`` topic.  Downstream services only ever see those
-envelopes.
+suggestions, business-vocabulary resolution), or parsed by the session
+from raw xRQ documents — and publishes each accepted requirement as an
+xRQ artifact envelope on the ``requirements`` topic.  Downstream
+services only ever see those envelopes.
 """
 
 from __future__ import annotations
@@ -59,14 +59,6 @@ class ElicitationService:
             producer=self.name,
             attachment=requirement,
         )
-
-    def submit_xrq(self, xrq_text: str) -> ArtifactEnvelope:
-        """Publish a requirement delivered as an xRQ document.
-
-        This is the wire format the Requirements Elicitor posts to the
-        Requirements Interpreter in the original service architecture.
-        """
-        return self.submit(xrq.loads(xrq_text))
 
     def submit_external(
         self,

@@ -172,10 +172,6 @@ class IntegrationService:
     def cost_model(self) -> CostModel:
         return self._cost_model
 
-    @property
-    def row_counts(self) -> Optional[Dict[str, int]]:
-        return self._row_counts
-
     def has(self, requirement_id: str) -> bool:
         return requirement_id in self._partials
 

@@ -12,13 +12,27 @@ The session is also the *transaction boundary* of the lifecycle: every
 mutating operation brackets the pipeline with a bus marker and rolls
 the event log back if any stage raises, so the persisted log only ever
 contains committed history.
+
+``Quarry`` is another name for :class:`DesignSession`: the end-to-end
+DW design lifecycle of Figure 1.  Typical use::
+
+    quarry = Quarry(tpch.ontology(), tpch.schema(), tpch.mappings())
+    report = quarry.add_requirement(requirement)     # incremental design
+    md, etl = quarry.unified_design()
+    result = quarry.deploy("native", source_database=db)
+
+``add_requirement`` / ``change_requirement`` / ``remove_requirement``
+implement the demo's "accommodating a DW design to changes" scenario;
+after every step the unified design is validated for soundness (MD
+integrity constraints) and satisfiability of all requirements met so
+far.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.deployer import BackendRegistry, Deployer, DeploymentResult
+from repro.core.deployer import Deployer, DeploymentResult
 from repro.core.integrator import EtlIntegrator, MDIntegrator
 from repro.core.interpreter import PartialDesign
 from repro.core.requirements import Elicitor
@@ -63,7 +77,6 @@ class DesignSession:
         align_etl: bool = True,
         complement: bool = True,
         row_counts: Optional[Dict[str, int]] = None,
-        backends: Optional[BackendRegistry] = None,
         scd_policies: Optional[Dict[str, object]] = None,
         scd_effective_date: str = "1970-01-01",
     ) -> None:
@@ -100,7 +113,7 @@ class DesignSession:
             row_counts=row_counts,
         )
         self._deployment = DeploymentService(
-            ontology, schema, self._repository, self._bus, backends=backends
+            ontology, schema, self._repository, self._bus
         )
         self._evolution = EvolutionService(
             ontology,
@@ -356,6 +369,59 @@ class DesignSession:
         """
         return self._integration.restore_from_repository()
 
+    def save_to(self, path) -> None:
+        """Persist the metadata repository (requirements + designs).
+
+        The whole underlying document store is saved — including the
+        fold checkpoints, the session state and the bus event log — so
+        ``load_from`` resumes the session *incrementally* instead of
+        re-interpreting every requirement.
+        """
+        self._repository.save_to(path)
+
+    @classmethod
+    def load_from(
+        cls,
+        path,
+        schema: SourceSchema,
+        mappings: SourceMappings,
+        session: str = DEFAULT_SESSION,
+        **kwargs,
+    ) -> "DesignSession":
+        """Resume a design session from a persisted repository.
+
+        The ontology is read back from the repository.  Stores written
+        by this version carry the full fold state (partial designs,
+        checkpoints, insertion order), which is restored directly —
+        zero integration calls, so later changes stay incremental.
+        Legacy stores without session state fall back to re-adding the
+        requirements in their stored order.
+        """
+        repository = MetadataRepository.load_from(path)
+        scoped = repository.for_session(session)
+        ontology_names = scoped.ontology_names()
+        if not ontology_names:
+            raise QuarryError("repository holds no ontology")
+        ontology = scoped.load_ontology(ontology_names[0])
+        resumed = cls(
+            ontology,
+            schema,
+            mappings,
+            repository=repository,
+            session=session,
+            **kwargs,
+        )
+        if resumed.restore():
+            return resumed
+        # Legacy store: re-run the pipeline over the stored order.
+        if "current" in scoped.unified_design_names():
+            __, __, stored_order = scoped.load_unified_design("current")
+        else:
+            stored_order = []
+        for requirement_id in stored_order:
+            resumed.add_requirement(scoped.load_requirement(requirement_id))
+        return resumed
+
     def replay_unified_design(self) -> Tuple[MDSchema, EtlFlow]:
         """Re-derive the unified design purely from the bus event log.
 
@@ -396,3 +462,7 @@ class DesignSession:
             unified_md = md_result.schema
             unified_etl = etl_result.flow
         return unified_md, unified_etl
+
+
+#: The lifecycle's public name (Figure 1's "Quarry").
+Quarry = DesignSession

@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.quarry import Quarry
+from repro import Quarry
 from repro.core.requirements import RequirementBuilder
 from repro.errors import QuarryError
 from repro.etlmodel.equivalence import prune_columns
@@ -369,7 +369,7 @@ def check_evolve_trial(trial: EvolveTrial) -> Optional[str]:
 
     incremental = _fingerprint(quarry.unified_design())
 
-    replayed = _fingerprint(quarry.session.replay_unified_design())
+    replayed = _fingerprint(quarry.replay_unified_design())
     if replayed != incremental:
         return (
             "evolve-replay-divergence: bus-log replay does not "

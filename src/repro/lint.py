@@ -33,7 +33,7 @@ _SUFFIXES = (".xlm", ".xmd", ".json")
 
 def _demo_reports() -> List[LintReport]:
     from repro.cli import _build_demo_requirements
-    from repro.core.quarry import Quarry
+    from repro import Quarry
     from repro.sources import tpch
 
     quarry = Quarry(tpch.ontology(), tpch.schema(), tpch.mappings())
@@ -55,8 +55,15 @@ def _lint_path(path: Path, disable, only) -> LintReport:
     if path.suffix == ".json":
         from repro.fuzz.corpus import decode_entry
 
-        entry = json.loads(text)
-        trial = decode_entry(entry)
+        try:
+            entry = json.loads(text)
+            if not isinstance(entry, dict):
+                raise TypeError("not a JSON object")
+            trial = decode_entry(entry)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise QuarryError(
+                f"{path}: cannot decode corpus entry: {exc}"
+            ) from exc
         if not hasattr(trial, "flow"):
             raise QuarryError(
                 f"{path}: corpus entry kind {entry.get('kind')!r} has no "
@@ -161,7 +168,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for path in _collect(args.paths):
         try:
             reports.append(_lint_path(path, args.disable, args.only))
-        except (QuarryError, OSError, json.JSONDecodeError) as exc:
+        except (QuarryError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     if args.as_json:

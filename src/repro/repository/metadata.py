@@ -48,7 +48,7 @@ SESSION_STATE = "session_state"
 SESSIONS = "sessions"
 
 #: The session name that maps to the unprefixed namespace — what every
-#: pre-session store (and the `Quarry` facade) uses.
+#: pre-session store (and a `Quarry` built without ``session=``) uses.
 DEFAULT_SESSION = "default"
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from repro.analysis import lint
 from repro.errors import LintError
-from repro.core.quarry import Quarry
+from repro import Quarry
 from repro.expressions.types import ScalarType
 from repro.mdmodel.model import (
     AggregationFunction,

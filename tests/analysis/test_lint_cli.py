@@ -111,6 +111,25 @@ def test_unsupported_suffix_is_usage_error(tmp_path, capsys):
     assert "cannot lint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"kind": "parallel", "seed": 1}',  # a retired fuzz kind
+        '{"kind": "flow", "seed": 1}',  # no "tables"
+        "[1, 2]",  # not a JSON object
+        "{not json",
+    ],
+    ids=["retired-kind", "missing-field", "not-an-object", "malformed"],
+)
+def test_undecodable_corpus_entry_is_load_error(tmp_path, capsys, text):
+    path = tmp_path / "entry.json"
+    path.write_text(text)
+    assert main([str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and str(path) in err[0]
+
+
 def test_demo_design_lints_clean(capsys):
     assert main(["--demo"]) == 0
     out = capsys.readouterr().out

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.quarry import Quarry
+from repro import Quarry
 from repro.errors import LintError
 from repro.etlmodel import Selection
 from repro.sources import tpch

@@ -1,5 +1,7 @@
 """Tests for the Design Deployer (Figure 3's deployment side)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro import Quarry
@@ -12,7 +14,9 @@ from repro.sources import tpch
 
 from benchmarks._workloads import ROW_COUNTS, requirement_corpus
 
-from .conftest import build_revenue_requirement
+from .conftest import build_netprofit_requirement, build_revenue_requirement
+
+OUTPUT = Path(__file__).resolve().parents[2] / "examples" / "deployment_output"
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +28,15 @@ def design():
 @pytest.fixture(scope="module")
 def deployer():
     return Deployer(source_schema=tpch.schema())
+
+
+@pytest.fixture(scope="module")
+def example_design():
+    """The two-requirement design ``examples/deployment.py`` builds."""
+    quarry = Quarry(tpch.ontology(), tpch.schema(), tpch.mappings())
+    quarry.add_requirement(build_revenue_requirement())
+    quarry.add_requirement(build_netprofit_requirement())
+    return quarry
 
 
 class TestDDL:
@@ -173,9 +186,13 @@ class TestNativeDeployment:
         with pytest.raises(DeploymentError):
             deployer.deploy(design.md_schema, design.etl_flow, "native")
 
-    def test_unknown_platform_rejected(self, design, deployer):
-        with pytest.raises(DeploymentError):
-            deployer.deploy(design.md_schema, design.etl_flow, "teradata")
+    def test_unknown_platform_rejected(self, design):
+        with pytest.raises(DeploymentError) as raised:
+            Deployer().deploy(design.md_schema, design.etl_flow, "cobol")
+        assert str(raised.value) == (
+            "unknown platform 'cobol'; supported: "
+            "('postgres', 'sqlite', 'pdi', 'sql', 'pig', 'native')"
+        )
 
     def test_generation_platforms_return_artifacts(self, design, deployer):
         for platform, key in [
@@ -192,3 +209,20 @@ class TestNativeDeployment:
         assert "ddl-postgres" in deployer.registry.notations(
             "md_schema", "export"
         )
+
+
+class TestPlatformTable:
+    @pytest.mark.parametrize(
+        "platform, artifact, filename",
+        [
+            ("postgres", "ddl", "star_schema.sql"),
+            ("sqlite", "ddl", "star_schema.sqlite.sql"),
+            ("pdi", "ktr", "etl_process.ktr"),
+            ("sql", "script", "etl_process.sql"),
+        ],
+    )
+    def test_artifacts_match_committed_example_output(
+        self, example_design, platform, artifact, filename
+    ):
+        text = example_design.deploy(platform).artifacts[artifact]
+        assert text == (OUTPUT / filename).read_text(encoding="utf-8")

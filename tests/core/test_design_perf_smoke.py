@@ -93,7 +93,7 @@ class TestFoldStepCost:
     def test_consecutive_checkpoints_share_unchanged_node_subtrees(self):
         quarry = corpus_session(12)
         quarry.rename_concept("Customer", "Client123")
-        repository = quarry.session.repository
+        repository = quarry.repository
         shared = 0
         before = node_subtrees(repository, 0)
         for position in range(1, repository.checkpoint_count()):

@@ -1,5 +1,5 @@
 """Tests: assembling requirements from accepted suggestions, and the
-xRQ ingestion path on the facade."""
+xRQ ingestion path on ``Quarry``."""
 
 import pytest
 

@@ -62,7 +62,7 @@ def changed_netprofit_requirement():
 def latest_payloads(quarry, topic, kinds):
     """The newest logged payload per requirement on ``topic``."""
     latest = {}
-    for envelope in quarry.session.bus.events(topic):
+    for envelope in quarry.bus.events(topic):
         if envelope.kind in kinds:
             latest[envelope.payload["requirement"]] = envelope.payload
     return latest
@@ -75,9 +75,8 @@ def assert_stored_trees_match(quarry, shared=True):
     hold the very tree objects the in-memory partial carries (true in
     the session that encoded them, not after a reload from a file).
     """
-    session = quarry.session
-    repository = session.repository
-    integration = session.integration
+    repository = quarry.repository
+    integration = quarry.integration
     order = integration.order()
     requirement_payloads = latest_payloads(
         quarry,
@@ -157,9 +156,7 @@ def test_scripted_session_encodes_each_artefact_once(encodes, tmp_path):
     # A downstream consumer that rejects merges: the merge below fails
     # only after re-interpreting and re-folding, so its rollback has
     # stored trees to put back.
-    quarry.session.bus.subscribe(
-        evolution_module.TOPIC_EVOLUTION, refuse_merges
-    )
+    quarry.bus.subscribe(evolution_module.TOPIC_EVOLUTION, refuse_merges)
 
     def step(action, expected):
         encodes.clear()
@@ -183,7 +180,7 @@ def test_scripted_session_encodes_each_artefact_once(encodes, tmp_path):
         lambda: quarry.change_requirement(changed_netprofit_requirement()),
         {"xrq": 1, "xmd": 3, "xlm": 3},
     )
-    assert quarry.session.integration.order() == ["IR1", "IR3", "IR2"]
+    assert quarry.integration.order() == ["IR1", "IR3", "IR2"]
     # Removing the middle requirement re-folds only IR2.
     step(lambda: quarry.remove_requirement("IR3"), {"xmd": 1, "xlm": 1})
 
@@ -204,7 +201,7 @@ def test_scripted_session_encodes_each_artefact_once(encodes, tmp_path):
 
     with pytest.raises(QuarryError, match="merge refused"):
         quarry.merge_concepts("Brand", "Product")
-    evolved = quarry.session.bus.events(evolution_module.TOPIC_EVOLUTION)
+    evolved = quarry.bus.events(evolution_module.TOPIC_EVOLUTION)
     assert [envelope.payload["operator"] for envelope in evolved] == [
         "rename_concept",
         "split_concept",
@@ -219,7 +216,7 @@ def test_scripted_session_encodes_each_artefact_once(encodes, tmp_path):
     quarry.save_to(path)
     resumed = Quarry.load_from(path, tpch.schema(), tpch.mappings())
     assert resumed.integration_counts == {"md": 0, "etl": 0}
-    assert resumed.session.integration.order() == ["IR1"]
+    assert resumed.integration.order() == ["IR1"]
     assert_stored_trees_match(resumed, shared=False)
     resumed.add_requirement(build_quantity_requirement())
     resumed.remove_requirement("IR3")

@@ -18,7 +18,7 @@ The invariants pinned here:
 
 import pytest
 
-from repro.core.quarry import Quarry
+from repro import Quarry
 from repro.core.services import evolution as evolution_module
 from repro.engine import Database
 from repro.errors import EvolutionError, QuarryError
@@ -50,7 +50,7 @@ def fingerprint(quarry: Quarry):
 def assert_invariants(quarry: Quarry):
     """Incremental == replay == rebuild, byte for byte."""
     incremental = fingerprint(quarry)
-    md_schema, etl_flow = quarry.session.replay_unified_design()
+    md_schema, etl_flow = quarry.replay_unified_design()
     assert (xmd.dumps(md_schema), xlm.dumps(etl_flow)) == incremental
     quarry.rebuild()
     assert fingerprint(quarry) == incremental
@@ -85,9 +85,7 @@ class TestRename:
     def test_evolution_envelope_published(self):
         quarry = make_quarry()
         quarry.rename_concept("Supplier", "Vendor")
-        envelopes = quarry.session.bus.events(
-            evolution_module.TOPIC_EVOLUTION
-        )
+        envelopes = quarry.bus.events(evolution_module.TOPIC_EVOLUTION)
         assert [e.kind for e in envelopes] == [evolution_module.KIND_EVOLVED]
         payload = envelopes[0].payload
         assert payload["operator"] == "rename_concept"
@@ -124,12 +122,12 @@ class TestSplitAndMerge:
     def test_merge_different_tables_fails_and_rolls_back(self):
         quarry = make_quarry()
         before = fingerprint(quarry)
-        events_before = len(quarry.session.bus.events())
+        events_before = len(quarry.bus.events())
         with pytest.raises(EvolutionError, match="different tables"):
             quarry.merge_concepts("Region", "Supplier")
         assert fingerprint(quarry) == before
         # Rollback erased the marker: no half-published envelopes.
-        assert len(quarry.session.bus.events()) == events_before
+        assert len(quarry.bus.events()) == events_before
         assert_invariants(quarry)
 
     def test_split_unknown_property_fails(self):
@@ -156,7 +154,7 @@ class TestRetype:
         with pytest.raises(QuarryError):
             quarry.retype_property("Nation_n_name", "decimal")
         assert fingerprint(quarry) == before
-        ontology = quarry.session.evolution._ontology
+        ontology = quarry.evolution._ontology
         prop = ontology.datatype_property("Nation_n_name")
         assert prop.range is ScalarType.STRING  # domain state restored
         assert_invariants(quarry)

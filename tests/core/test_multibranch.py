@@ -1,4 +1,4 @@
-"""Tests for multi-branch dimension hierarchies and facade options.
+"""Tests for multi-branch dimension hierarchies and ``Quarry`` options.
 
 A synthetic healthcare domain where a concept has *two* outgoing to-one
 chains (Visit -> Doctor -> Department, Visit -> Doctor is linear, but

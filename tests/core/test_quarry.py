@@ -1,4 +1,4 @@
-"""End-to-end tests of the Quarry facade (Figure 1 / the demo scenarios)."""
+"""End-to-end tests of the Quarry lifecycle (Figure 1 / the demo scenarios)."""
 
 import pytest
 

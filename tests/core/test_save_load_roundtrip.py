@@ -67,7 +67,7 @@ class TestRoundTrip:
             == quarry.repository.bus_event_count()
         )
         # The restored log still replays to the restored design.
-        replayed_md, __ = resumed.session.replay_unified_design()
+        replayed_md, __ = resumed.replay_unified_design()
         assert xmd.dumps(replayed_md) == xmd.dumps(resumed.unified_design()[0])
 
     def test_removal_after_reload_refolds_correctly(self, saved_store):

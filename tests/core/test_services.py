@@ -1,19 +1,17 @@
-"""The service decomposition: bus, envelopes, sessions, facade compat."""
+"""The service decomposition: bus, envelopes, sessions, the Quarry API."""
 
 from pathlib import Path
 
 import pytest
 
-from repro import ChangeReport, DesignStatus, Quarry, QuarryError
-from repro.core.services import (
-    ArtifactBus,
-    ArtifactEnvelope,
-    DesignSession,
-)
+import repro.core
+from repro import ChangeReport, Quarry, QuarryError
+from repro.core.services import ArtifactBus, ArtifactEnvelope
 from repro.core.services.deployment import TOPIC_DEPLOYMENTS
 from repro.core.services.elicitation import TOPIC_REQUIREMENTS
 from repro.core.services.integration import TOPIC_UNIFIED
 from repro.core.services.interpretation import TOPIC_PARTIALS
+from repro.core.services.session import DesignSession
 from repro.repository import MetadataRepository
 from repro.sources import tpch
 from repro.xformats import xlm, xmd
@@ -48,17 +46,10 @@ class TestFacadeCompatibility:
         assert xmd.dumps(md) == (EXAMPLES / "unified.xmd").read_text()
         assert xlm.dumps(etl) == (EXAMPLES / "unified.xlm").read_text()
 
-    def test_facade_and_session_produce_identical_ddl(self, domain):
-        quarry = Quarry(*domain)
-        quarry.add_requirement(build_revenue_requirement())
-        quarry.add_requirement(build_netprofit_requirement())
-        session = DesignSession(*domain)
-        session.add_requirement(build_revenue_requirement())
-        session.add_requirement(build_netprofit_requirement())
-        via_facade = quarry.deploy("postgres").artifacts["ddl"]
-        via_session = session.deploy("postgres").artifacts["ddl"]
-        assert via_facade == via_session
-        assert "CREATE TABLE" in via_facade
+    def test_quarry_is_the_design_session(self):
+        # perfbench's tracer patches DesignSession methods and its
+        # workloads build Quarry: the spans hold only if both are one.
+        assert repro.Quarry is repro.core.Quarry is DesignSession
 
     def test_error_messages_preserved(self, domain):
         quarry = Quarry(*domain)
@@ -72,7 +63,7 @@ class TestFacadeCompatibility:
 
     def test_facade_fronts_default_session(self, domain):
         quarry = Quarry(*domain)
-        assert quarry.session.session == "default"
+        assert quarry.session == "default"
         # Default session uses the plain (unprefixed) collection names.
         assert quarry.repository.namespace == ""
 

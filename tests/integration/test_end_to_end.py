@@ -1,7 +1,7 @@
 """Cross-module integration tests: the full pipeline under one roof.
 
-These tests tie together every subsystem: requirements through the
-facade, format round-trips of the *unified* (not just partial) designs,
+These tests tie together every subsystem: requirements through a
+``Quarry`` session, format round-trips of the *unified* (not just partial) designs,
 measure-merge across requirements, full persistence cycles, and
 correctness of the deployed warehouse against independent recomputation.
 """
