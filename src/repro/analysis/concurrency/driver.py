@@ -30,7 +30,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.concurrency.extract import GENERIC_METHODS, extract_paths
 from repro.analysis.concurrency.model import (
-    AccessEvent,
     AcquireEvent,
     BlockingEvent,
     CallEvent,

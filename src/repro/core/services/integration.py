@@ -16,7 +16,9 @@ announced as a ``design.committed`` envelope on the ``unified`` topic.
 The service encodes each unified fold snapshot into its xMD/xLM trees
 exactly once, when the fold step produces it, and keeps the trees with
 the checkpoint: the checkpoint document and the ``current`` unified
-design share them, and restoring a checkpoint encodes nothing.
+design share them, and restoring a checkpoint encodes nothing.  A fold
+step's xMD tree shares every ``<fact>`` and ``<dimension>`` subtree the
+step did not change with the checkpoint it folds from.
 Requirement and partial-design documents store the trees that arrived
 in the partial's envelope.  The checkpoint also keeps the unified
 flow's cost, so the next fold step prices only what it builds.
@@ -65,13 +67,26 @@ class _Snapshot(NamedTuple):
 
 
 def _snapshot(
-    md_schema: MDSchema, etl_flow: EtlFlow, cost_unified: Optional[float]
+    md_schema: MDSchema,
+    etl_flow: EtlFlow,
+    cost_unified: Optional[float],
+    base: Optional[_Snapshot] = None,
 ) -> _Snapshot:
-    """A unified design state, encoded once."""
+    """A unified design state, encoded once.
+
+    ``base`` is the checkpoint the fold step started from: the xMD tree
+    takes from it every ``<fact>`` and ``<dimension>`` subtree the step
+    did not change.  A checkpoint restored from the store
+    (``cost_unified`` is ``None``) shares nothing, because its trees
+    were read back, not written by :func:`xmd.to_tree`.
+    """
+    previous = None
+    if base is not None and base.cost_unified is not None:
+        previous = (base.md_schema, base.xmd_tree)
     return _Snapshot(
         md_schema,
         etl_flow,
-        xmd.to_tree(md_schema),
+        xmd.to_tree(md_schema, previous),
         xlm.to_tree(etl_flow),
         cost_unified,
     )
@@ -234,7 +249,10 @@ class IntegrationService:
     def _commit(self, partial, md_result, etl_result) -> None:
         requirement_id = partial.requirement.id
         self._unified = _snapshot(
-            md_result.schema, etl_result.flow, etl_result.cost_unified
+            md_result.schema,
+            etl_result.flow,
+            etl_result.cost_unified,
+            self._unified,
         )
         self._partials[requirement_id] = partial
         self._order.append(requirement_id)
@@ -266,6 +284,22 @@ class IntegrationService:
             payload={"requirement": requirement_id},
             producer=self.name,
         )
+        self.reintegrate_from(index)
+
+    def reinsert(self, index: int, partial: PartialDesign) -> None:
+        """Put a removed partial design back at fold position ``index``.
+
+        Undoes :meth:`remove` when the replacement of a changed
+        requirement fails, whether or not that replacement got as far
+        as a commit: the requirement and partial documents are stored
+        again and the fold is re-run from ``index``.
+        """
+        requirement_id = partial.requirement.id
+        if requirement_id in self._order:
+            self._order.remove(requirement_id)
+        self._partials[requirement_id] = partial
+        self._order.insert(index, requirement_id)
+        self._save_partial(partial)
         self.reintegrate_from(index)
 
     def replace_partial(
@@ -304,7 +338,10 @@ class IntegrationService:
             partial = self._partials[requirement_id]
             md_result, etl_result = self._integrate_partial(partial)
             self._unified = _snapshot(
-                md_result.schema, etl_result.flow, etl_result.cost_unified
+                md_result.schema,
+                etl_result.flow,
+                etl_result.cost_unified,
+                self._unified,
             )
             self._checkpoints.append(self._unified)
             self._save_checkpoint()

@@ -86,13 +86,7 @@ class DesignSession:
         base.register_session(session)
         self._repository.save_ontology(ontology)
         self._align_etl = align_etl
-        self._complement = complement
         self._row_counts = row_counts
-        self._scd_policies = dict(scd_policies or {})
-        self._scd_effective_date = scd_effective_date
-        self._ontology = ontology
-        self._schema = schema
-        self._mappings = mappings
         self._bus = ArtifactBus(self._repository, session)
         self._elicitation = ElicitationService(ontology, self._bus)
         self._interpretation = InterpretationService(
@@ -216,11 +210,23 @@ class DesignSession:
     def change_requirement(
         self, requirement: InformationRequirement
     ) -> ChangeReport:
-        """Replace an existing requirement and rebuild the design."""
+        """Replace an existing requirement and rebuild the design.
+
+        Atomic: if the replacement fails, the old partial design goes
+        back to its fold position and the bus log is rolled back.
+        """
         if not self._integration.has(requirement.id):
             raise QuarryError(f"unknown requirement {requirement.id!r}")
+        marker = self._bus.marker()
+        position = self._integration.order().index(requirement.id)
+        old_partial = self._integration.partial_design(requirement.id)
         self.remove_requirement(requirement.id)
-        report = self.add_requirement(requirement)
+        try:
+            report = self.add_requirement(requirement)
+        except Exception:
+            self._integration.reinsert(position, old_partial)
+            self._bus.rollback(marker)
+            raise
         return ChangeReport(
             requirement_id=requirement.id,
             action="changed",

@@ -20,7 +20,7 @@ with real executor timings (see EXPERIMENTS.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import math
 
@@ -29,6 +29,7 @@ from repro.etlmodel.ops import (
     Aggregation,
     Datastore,
     Join,
+    Operation,
     Selection,
     Sort,
 )
@@ -163,28 +164,17 @@ class CostModel:
         ``row_counts`` maps datastore *table* names to cardinalities;
         missing tables default to 1000 rows.
         """
-        counts = row_counts or {}
-        # Per node we track (rows, fraction): ``fraction`` is the share
-        # of the node's base lineage surviving filters so far; a
-        # key/foreign-key join lets the dimension side's fraction thin
-        # out the fact side (filtering a dimension filters the fact).
-        estimates: Dict[str, tuple] = {}
         node_costs: List[NodeCost] = []
         total = 0.0
-        for operation, sources in flow.topological_inputs():
-            inputs = [estimates[source] for source in sources]
-            input_rows = [rows for rows, __ in inputs]
-            output_rows, fraction = self._estimate_node(
-                operation, inputs, counts
-            )
-            estimates[operation.name] = (output_rows, fraction)
-            cost = self._node_cost(operation, input_rows, output_rows)
+        for operation, input_rows, output_rows, cost in self._walk(
+            flow, row_counts
+        ):
             total += cost
             node_costs.append(
                 NodeCost(
                     name=operation.name,
                     kind=operation.kind,
-                    input_rows=sum(input_rows),
+                    input_rows=input_rows,
                     output_rows=output_rows,
                     cost=cost,
                 )
@@ -194,9 +184,35 @@ class CostModel:
     def total(
         self, flow: EtlFlow, row_counts: Optional[Dict[str, int]] = None
     ) -> float:
-        return self.estimate(flow, row_counts).total
+        """``estimate(flow, row_counts).total``, without the report."""
+        total = 0.0
+        for __, __, __, cost in self._walk(flow, row_counts):
+            total += cost
+        return total
 
     # -- internals ---------------------------------------------------------
+
+    def _walk(
+        self, flow: EtlFlow, row_counts: Optional[Dict[str, int]]
+    ) -> Iterator[Tuple[Operation, float, float, float]]:
+        """Each node in topological order with its input rows, output
+        rows and cost; :meth:`estimate` and :meth:`total` sum the costs
+        in this order, so both return the same float."""
+        counts = row_counts or {}
+        # Per node we track (rows, fraction): ``fraction`` is the share
+        # of the node's base lineage surviving filters so far; a
+        # key/foreign-key join lets the dimension side's fraction thin
+        # out the fact side (filtering a dimension filters the fact).
+        estimates: Dict[str, tuple] = {}
+        for operation, sources in flow.topological_inputs():
+            inputs = [estimates[source] for source in sources]
+            input_rows = [rows for rows, __ in inputs]
+            output_rows, fraction = self._estimate_node(
+                operation, inputs, counts
+            )
+            estimates[operation.name] = (output_rows, fraction)
+            cost = self._node_cost(operation, input_rows, output_rows)
+            yield operation, sum(input_rows), output_rows, cost
 
     def _estimate_node(
         self, operation, inputs: List[tuple], counts: Dict[str, int]

@@ -273,8 +273,6 @@ def _shrink_datastores(flow: EtlFlow) -> None:
 def _compute_needs(flow: EtlFlow, produced) -> dict:
     """(producer, consumer) -> attribute set the consumer's subtree
     needs from that edge; ``None`` means "everything" (no pruning)."""
-    from repro.etlmodel.ops import SurrogateKey
-
     needed_out: dict = {}  # node -> set needed by all consumers (or None)
     edge_needs: dict = {}
     for name in reversed(flow.topological_order()):
@@ -304,12 +302,6 @@ def _compute_needs(flow: EtlFlow, produced) -> dict:
 def _required_from_input(operation, position, downstream, produced, flow):
     """Attributes ``operation`` needs from its input at ``position``;
     ``None`` disables pruning on that edge."""
-    from repro.etlmodel.ops import (
-        Loader as LoaderOp,
-        SurrogateKey,
-        UnionOp as UnionOperation,
-    )
-
     if isinstance(operation, (Extraction, Projection)):
         return set(operation.columns)
     if isinstance(operation, Selection):

@@ -10,6 +10,7 @@ hierarchies, fact-dimension links, and requirement traceability.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from typing import Dict, Optional, Tuple
 
 from repro.errors import XmdFormatError
 from repro.expressions.types import ScalarType
@@ -35,8 +36,33 @@ from repro.xformats.registry import check_schema_version
 XMD_VERSION = "1.1"
 
 
-def to_tree(schema: MDSchema) -> dict:
-    """The schema's xMD tree, in the repository's JSON structure."""
+def to_tree(
+    schema: MDSchema, previous: Optional[Tuple[MDSchema, dict]] = None
+) -> dict:
+    """The schema's xMD tree, in the repository's JSON structure.
+
+    Each ``<fact>`` and ``<dimension>`` subtree is written from its
+    content key (:func:`_fact_key`, :func:`_dimension_key`).
+    ``previous`` is the schema this one was derived from, with the tree
+    this function wrote for it: every element whose key is unchanged
+    takes that tree's subtree instead of a new one, so consecutive fold
+    checkpoints share them.  Stored trees are never mutated in place,
+    which makes the sharing safe.
+    """
+    shared_facts: Dict[tuple, dict] = {}
+    shared_dimensions: Dict[tuple, dict] = {}
+    if previous is not None:
+        previous_schema, previous_tree = previous
+        previous_facts, previous_dimensions = previous_tree["children"]
+        shared_facts = dict(
+            zip(map(_fact_key, previous_schema.facts.values()), previous_facts["children"])
+        )
+        shared_dimensions = dict(
+            zip(
+                map(_dimension_key, previous_schema.dimensions.values()),
+                previous_dimensions["children"],
+            )
+        )
     uses_scd = any(
         level.scd_policy is not SCDPolicy.TYPE0
         for _, level in schema.iter_levels()
@@ -46,11 +72,17 @@ def to_tree(schema: MDSchema) -> dict:
         attributes["version"] = XMD_VERSION
     root = xmljson.root("MDschema", **attributes)
     facts = xmljson.sub(root, "facts")
-    for fact in schema.facts.values():
-        _write_fact(facts, fact)
+    # A written subtree is never an empty dict, so ``or`` falls back only
+    # on a miss.
+    facts["children"] = [
+        shared_facts.get(key) or _write_fact(key)
+        for key in map(_fact_key, schema.facts.values())
+    ]
     dimensions = xmljson.sub(root, "dimensions")
-    for dimension in schema.dimensions.values():
-        _write_dimension(dimensions, dimension)
+    dimensions["children"] = [
+        shared_dimensions.get(key) or _write_dimension(key)
+        for key in map(_dimension_key, schema.dimensions.values())
+    ]
     return root
 
 
@@ -59,72 +91,128 @@ def dumps(schema: MDSchema) -> str:
     return xmljson.json_to_xml(to_tree(schema))
 
 
-def _write_requirements(parent: dict, requirement_ids) -> None:
+def _fact_key(fact: Fact) -> tuple:
+    """Everything :func:`_write_fact` writes for a fact, in its order."""
+    return (
+        fact.name,
+        fact.concept,
+        tuple(fact.grain),
+        tuple(fact.slicers),
+        tuple(sorted(fact.requirements)),
+        tuple(
+            (
+                measure.name,
+                measure.expression,
+                measure.type.value,
+                measure.aggregation.value,
+                measure.additivity.value,
+                tuple(sorted(measure.requirements)),
+            )
+            for measure in fact.measures.values()
+        ),
+        tuple((link.dimension, link.level) for link in fact.links),
+    )
+
+
+def _dimension_key(dimension: Dimension) -> tuple:
+    """Everything :func:`_write_dimension` writes for a dimension, in
+    its order; a level's SCD policy is ``None`` for TYPE0, which writes
+    no ``<scd>``."""
+    return (
+        dimension.name,
+        tuple(sorted(dimension.requirements)),
+        tuple(
+            (
+                level.name,
+                level.concept,
+                level.key,
+                None
+                if level.scd_policy is SCDPolicy.TYPE0
+                else level.scd_policy.value,
+                tuple(
+                    (attribute.name, attribute.type.value, attribute.property)
+                    for attribute in level.attributes
+                ),
+            )
+            for level in dimension.levels.values()
+        ),
+        tuple(
+            (hierarchy.name, tuple(hierarchy.levels))
+            for hierarchy in dimension.hierarchies
+        ),
+    )
+
+
+def _write_requirements(parent: dict, requirement_ids: tuple) -> None:
     if not requirement_ids:
         return
     wrapper = xmljson.sub(parent, "requirements")
-    for requirement_id in sorted(requirement_ids):
+    for requirement_id in requirement_ids:
         xmljson.sub(wrapper, "requirement", requirement_id)
 
 
-def _write_fact(parent: dict, fact: Fact) -> None:
-    element = xmljson.sub(parent, "fact")
-    xmljson.sub(element, "name", fact.name)
-    if fact.concept is not None:
-        xmljson.sub(element, "concept", fact.concept)
-    if fact.grain:
-        grain = xmljson.sub(element, "grain")
-        for column in fact.grain:
-            xmljson.sub(grain, "column", column)
-    if fact.slicers:
-        slicers = xmljson.sub(element, "slicers")
-        for predicate in fact.slicers:
-            xmljson.sub(slicers, "predicate", predicate)
-    _write_requirements(element, fact.requirements)
-    measures = xmljson.sub(element, "measures")
-    for measure in fact.measures.values():
-        measure_element = xmljson.sub(measures, "measure")
-        xmljson.sub(measure_element, "name", measure.name)
-        xmljson.sub(measure_element, "expression", measure.expression)
-        xmljson.sub(measure_element, "type", measure.type.value)
-        xmljson.sub(measure_element, "aggregation", measure.aggregation.value)
-        xmljson.sub(measure_element, "additivity", measure.additivity.value)
-        _write_requirements(measure_element, measure.requirements)
-    links = xmljson.sub(element, "links")
-    for link in fact.links:
-        link_element = xmljson.sub(links, "link")
-        xmljson.sub(link_element, "dimension", link.dimension)
-        xmljson.sub(link_element, "level", link.level)
+def _write_fact(key: tuple) -> dict:
+    name, concept, grain, slicers, requirements, measures, links = key
+    element = xmljson.root("fact")
+    xmljson.sub(element, "name", name)
+    if concept is not None:
+        xmljson.sub(element, "concept", concept)
+    if grain:
+        grain_element = xmljson.sub(element, "grain")
+        for column in grain:
+            xmljson.sub(grain_element, "column", column)
+    if slicers:
+        slicers_element = xmljson.sub(element, "slicers")
+        for predicate in slicers:
+            xmljson.sub(slicers_element, "predicate", predicate)
+    _write_requirements(element, requirements)
+    measures_element = xmljson.sub(element, "measures")
+    for measure_name, expression, type_name, aggregation, additivity, ids in measures:
+        measure_element = xmljson.sub(measures_element, "measure")
+        xmljson.sub(measure_element, "name", measure_name)
+        xmljson.sub(measure_element, "expression", expression)
+        xmljson.sub(measure_element, "type", type_name)
+        xmljson.sub(measure_element, "aggregation", aggregation)
+        xmljson.sub(measure_element, "additivity", additivity)
+        _write_requirements(measure_element, ids)
+    links_element = xmljson.sub(element, "links")
+    for dimension, level in links:
+        link_element = xmljson.sub(links_element, "link")
+        xmljson.sub(link_element, "dimension", dimension)
+        xmljson.sub(link_element, "level", level)
+    return element
 
 
-def _write_dimension(parent: dict, dimension: Dimension) -> None:
-    element = xmljson.sub(parent, "dimension")
-    xmljson.sub(element, "name", dimension.name)
-    _write_requirements(element, dimension.requirements)
-    levels = xmljson.sub(element, "levels")
-    for level in dimension.levels.values():
-        level_element = xmljson.sub(levels, "level")
-        xmljson.sub(level_element, "name", level.name)
-        if level.concept is not None:
-            xmljson.sub(level_element, "concept", level.concept)
-        if level.key is not None:
-            xmljson.sub(level_element, "key", level.key)
-        if level.scd_policy is not SCDPolicy.TYPE0:
-            xmljson.sub(level_element, "scd", level.scd_policy.value)
-        attributes = xmljson.sub(level_element, "attributes")
-        for attribute in level.attributes:
-            attribute_element = xmljson.sub(attributes, "attribute")
-            xmljson.sub(attribute_element, "name", attribute.name)
-            xmljson.sub(attribute_element, "type", attribute.type.value)
-            if attribute.property is not None:
-                xmljson.sub(attribute_element, "property", attribute.property)
-    hierarchies = xmljson.sub(element, "hierarchies")
-    for hierarchy in dimension.hierarchies:
+def _write_dimension(key: tuple) -> dict:
+    name, requirements, levels, hierarchies = key
+    element = xmljson.root("dimension")
+    xmljson.sub(element, "name", name)
+    _write_requirements(element, requirements)
+    levels_element = xmljson.sub(element, "levels")
+    for level_name, concept, level_key, scd, attributes in levels:
+        level_element = xmljson.sub(levels_element, "level")
+        xmljson.sub(level_element, "name", level_name)
+        if concept is not None:
+            xmljson.sub(level_element, "concept", concept)
+        if level_key is not None:
+            xmljson.sub(level_element, "key", level_key)
+        if scd is not None:
+            xmljson.sub(level_element, "scd", scd)
+        attributes_element = xmljson.sub(level_element, "attributes")
+        for attribute_name, type_name, attribute_property in attributes:
+            attribute_element = xmljson.sub(attributes_element, "attribute")
+            xmljson.sub(attribute_element, "name", attribute_name)
+            xmljson.sub(attribute_element, "type", type_name)
+            if attribute_property is not None:
+                xmljson.sub(attribute_element, "property", attribute_property)
+    hierarchies_element = xmljson.sub(element, "hierarchies")
+    for hierarchy_name, hierarchy_levels in hierarchies:
         hierarchy_element = xmljson.sub(
-            hierarchies, "hierarchy", name=hierarchy.name
+            hierarchies_element, "hierarchy", name=hierarchy_name
         )
-        for level_name in hierarchy.levels:
+        for level_name in hierarchy_levels:
             xmljson.sub(hierarchy_element, "level", level_name)
+    return element
 
 
 def loads(text: str) -> MDSchema:

@@ -10,6 +10,7 @@ correct.
 
 from repro import Quarry
 from repro.etlmodel.cost import CostModel
+from repro.fuzz.flowgen import build_flow_trial
 from repro.repository.metadata import decode_design
 from repro.sources import tpch
 
@@ -68,6 +69,17 @@ def node_subtrees(repository, position):
     return dict(zip(flow.nodes(), nodes["children"]))
 
 
+def element_subtrees(repository, position):
+    """Each checkpoint ``<fact>`` and ``<dimension>`` subtree, by tag
+    and name."""
+    xmd_tree, __ = repository.checkpoint_trees(position)
+    return {
+        (element["tag"], element["children"][0]["text"]): element
+        for section in xmd_tree["children"]
+        for element in section["children"]
+    }
+
+
 class TestFoldStepCost:
     """A fold step pays for what the partial adds, counted, not timed."""
 
@@ -76,13 +88,14 @@ class TestFoldStepCost:
     ):
         quarry = corpus_session(12)
         calls = []
-        estimate = CostModel.estimate
+        walk = CostModel._walk
 
-        def counting(model, flow, row_counts=None):
+        def counting(model, flow, row_counts):
             calls.append(flow.name)
-            return estimate(model, flow, row_counts)
+            return walk(model, flow, row_counts)
 
-        monkeypatch.setattr(CostModel, "estimate", counting)
+        # ``estimate`` and ``total`` both price a flow through this walk.
+        monkeypatch.setattr(CostModel, "_walk", counting)
         report = quarry.rename_concept("Customer", "Client123")
         steps = len(quarry.requirements()) - report.refolded_from
         assert steps == 7
@@ -104,3 +117,33 @@ class TestFoldStepCost:
                     shared += 1
             before = after
         assert shared > 0
+
+    def test_consecutive_checkpoints_share_unchanged_element_subtrees(self):
+        quarry = corpus_session(12)
+        quarry.rename_concept("Customer", "Client123")
+        repository = quarry.repository
+        shared = 0
+        before = element_subtrees(repository, 0)
+        for position in range(1, repository.checkpoint_count()):
+            after = element_subtrees(repository, position)
+            for element, subtree in after.items():
+                if before.get(element) == subtree:
+                    assert subtree is before[element], element
+                    shared += 1
+            before = after
+        assert shared > 0
+
+    def test_total_equals_the_estimate_total(self):
+        quarry = corpus_session(12)
+        model = quarry.integration.cost_model
+        priced = [
+            (checkpoint.etl_flow, counts)
+            for checkpoint in quarry.integration._checkpoints
+            for counts in (ROW_COUNTS, None)
+        ]
+        for seed in range(60):
+            trial = build_flow_trial(seed)
+            counts = {table.name: len(table.rows) for table in trial.tables}
+            priced.append((trial.flow, counts))
+        for flow, counts in priced:
+            assert model.total(flow, counts) == model.estimate(flow, counts).total

@@ -14,7 +14,8 @@ after every step of one scripted session:
 * each step encodes exactly what it produced, and a remove that
   restores a checkpoint encodes nothing,
 * ``save_to`` → ``load_from`` → ``restore`` resumes with zero
-  integration calls and the same invariants.
+  integration calls and the same invariants, and the step after a
+  restored checkpoint shares no xMD subtree with it.
 """
 
 from collections import Counter
@@ -138,9 +139,9 @@ def encodes(monkeypatch):
     for codec in (xrq, xmd, xlm):
         name = codec.__name__.rsplit(".", 1)[-1]
 
-        def counting(obj, _to_tree=codec.to_tree, _name=name):
+        def counting(obj, *args, _to_tree=codec.to_tree, _name=name):
             counts[_name] += 1
-            return _to_tree(obj)
+            return _to_tree(obj, *args)
 
         monkeypatch.setattr(codec, "to_tree", counting)
     return counts
@@ -219,6 +220,41 @@ def test_scripted_session_encodes_each_artefact_once(encodes, tmp_path):
     assert resumed.integration.order() == ["IR1"]
     assert_stored_trees_match(resumed, shared=False)
     resumed.add_requirement(build_quantity_requirement())
+    assert_stored_trees_match(resumed, shared=False)
     resumed.remove_requirement("IR3")
     assert resumed.integration_counts == {"md": 1, "etl": 1}
     assert_stored_trees_match(resumed, shared=False)
+
+
+def xmd_elements(snapshot):
+    """A checkpoint's ``<fact>`` and ``<dimension>`` subtrees, by name."""
+    return {
+        element["children"][0]["text"]: element
+        for section in snapshot.xmd_tree["children"]
+        for element in section["children"]
+    }
+
+
+def test_resumed_session_shares_only_subtrees_it_encoded(tmp_path):
+    quarry = Quarry(tpch.ontology(), tpch.schema(), tpch.mappings())
+    quarry.add_requirement(build_revenue_requirement())
+    path = tmp_path / "store.json"
+    quarry.save_to(path)
+    resumed = Quarry.load_from(path, tpch.schema(), tpch.mappings())
+    resumed.add_requirement(build_netprofit_requirement())
+    resumed.add_requirement(build_quantity_requirement())
+    assert_stored_trees_match(resumed, shared=False)
+    restored, first, second = map(xmd_elements, resumed.integration._checkpoints)
+
+    def unchanged(before, after):
+        return [name for name in after if before.get(name) == after[name]]
+
+    # The restored checkpoint's trees were read back from the file: the
+    # step after it builds every subtree anew, even unchanged ones.
+    assert unchanged(restored, first)
+    for name in unchanged(restored, first):
+        assert first[name] is not restored[name], name
+    # The next step folds from a checkpoint this session encoded.
+    assert unchanged(first, second)
+    for name in unchanged(first, second):
+        assert second[name] is first[name], name

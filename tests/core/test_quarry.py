@@ -3,8 +3,10 @@
 import pytest
 
 from repro import Quarry, QuarryError, RequirementBuilder
+from repro.core.services.integration import TOPIC_UNIFIED
 from repro.engine import Database, OlapQuery, query_star
 from repro.sources import tpch
+from repro.xformats import xlm, xmd
 
 from .conftest import (
     build_netprofit_requirement,
@@ -98,6 +100,60 @@ class TestScenarioAccommodatingChanges:
         fact = md.fact("fact_table_revenue")
         assert fact.grain == ["p_brand"]
         assert quarry.satisfiability_problems() == []
+
+    @pytest.mark.parametrize("failure", ["interpretation", "commit"])
+    def test_failed_change_leaves_the_design_as_it_was(self, quarry, failure):
+        quarry.add_requirement(build_revenue_requirement())
+        quarry.add_requirement(build_netprofit_requirement())
+        repository = quarry.repository
+
+        def observed():
+            md, etl = quarry.unified_design()
+            return (
+                [requirement.id for requirement in quarry.requirements()],
+                xmd.dumps(md),
+                xlm.dumps(etl),
+                repository.bus_event_count(),
+                [
+                    repository.checkpoint_trees(position)
+                    for position in range(repository.checkpoint_count())
+                ],
+                repository.requirement_tree("IR1"),
+                repository.partial_design_trees("IR1"),
+            )
+
+        before = observed()
+        if failure == "interpretation":
+            replacement = (
+                RequirementBuilder("IR1", "broken")
+                .measure("revenue", "Lineitem_l_nosuch", "SUM")
+                .per("Part_p_name")
+                .build()
+            )
+            refusal = "unknown datatype property 'Lineitem_l_nosuch'"
+        else:
+            # The replacement commits, then a downstream consumer of the
+            # unified topic refuses the commit.
+            replacement = build_revenue_requirement()
+
+            def refuse(envelope):
+                if envelope.payload["requirements"] == ["IR2", "IR1"]:
+                    raise QuarryError("commit refused")
+
+            quarry.bus.subscribe(TOPIC_UNIFIED, refuse)
+            refusal = "commit refused"
+        with pytest.raises(QuarryError, match=refusal):
+            quarry.change_requirement(replacement)
+        assert observed() == before
+        md, etl = quarry.unified_design()
+        replayed_md, replayed_etl = quarry.replay_unified_design()
+        assert (xmd.dumps(replayed_md), xlm.dumps(replayed_etl)) == (
+            xmd.dumps(md),
+            xlm.dumps(etl),
+        )
+        report = quarry.change_requirement(build_revenue_requirement("IR2"))
+        assert report.action == "changed"
+        assert quarry.integration.order() == ["IR1", "IR2"]
 
     def test_remove_requirement_rebuilds(self, quarry):
         quarry.add_requirement(build_revenue_requirement())

@@ -15,7 +15,6 @@ import threading
 
 from repro.core.services import DesignSession
 from repro.repository import MetadataRepository
-from repro.sources import tpch
 from repro.xformats import xlm, xmd
 
 from .conftest import (

@@ -17,6 +17,8 @@ from hypothesis import assume, given, settings
 
 from repro.expressions import ScalarType
 
+from tests.xformats.test_xmd import ONE_FIELD_MUTATIONS, mutated
+
 # ---------------------------------------------------------------------------
 # Ontology text round-trip
 # ---------------------------------------------------------------------------
@@ -356,6 +358,21 @@ class TestWriterTrees:
         from repro.xformats import xlm
 
         self._check(xlm, flow)
+
+
+class TestXmdSharing:
+    """An encode that shares subtrees with a previous version equals a
+    fresh encode, whatever the previous version changed."""
+
+    @given(any_md_schema(), st.sampled_from(sorted(ONE_FIELD_MUTATIONS)))
+    @settings(max_examples=80, deadline=None)
+    def test_shared_encode_equals_fresh_encode(self, schema, mutation):
+        from repro.xformats import xmd
+
+        fresh = xmd.to_tree(schema)
+        assert xmd.to_tree(schema, (schema, xmd.to_tree(schema))) == fresh
+        previous = mutated(schema, mutation)
+        assert xmd.to_tree(schema, (previous, xmd.to_tree(previous))) == fresh
 
 
 def _with_control_character(value):
