@@ -10,9 +10,9 @@ Every published envelope is appended to a per-session event log in the
 metadata repository *before* delivery, which makes the bus:
 
 * **observable** — ``events()`` exposes the full per-topic history,
-* **replayable** — ``replay(topic, handler)`` re-delivers the logged
-  envelopes in publication order (reconstructed from their payloads, so
-  a replay consumes exactly what was persisted),
+  rebuilt from the logged documents in publication order, so a reader
+  (the session's ``replay_unified_design``) consumes exactly what was
+  persisted and never an attachment,
 * **transactional at the session level** — ``marker()`` /
   ``rollback(marker)`` let an orchestrator drop the events of a failed
   lifecycle operation so the log only ever contains committed history.
@@ -116,17 +116,6 @@ class ArtifactBus:
             for document in self._repository.bus_events(topic)
         ]
 
-    def replay(self, topic: str, handler: Handler) -> int:
-        """Re-deliver the logged envelopes of a topic; returns the count.
-
-        Replayed envelopes carry no attachment — the handler consumes
-        the persisted payload, which is the point of a replay.
-        """
-        envelopes = self.events(topic)
-        for envelope in envelopes:
-            handler(envelope)
-        return len(envelopes)
-
     # -- session-level transactions ---------------------------------------
 
     def marker(self) -> dict:
@@ -153,8 +142,8 @@ class ArtifactBus:
 
         Subscribers are *not* notified: rollback compensates a failed
         lifecycle operation whose in-memory effects the orchestrator
-        handles (or deliberately preserves, matching pre-service
-        behaviour); the log just must not advertise uncommitted events.
+        undoes itself (the integration service's transaction); the log
+        just must not advertise uncommitted events.
         """
         if marker.get("bus") != self._id:
             raise QuarryError(

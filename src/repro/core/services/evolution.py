@@ -10,9 +10,10 @@ brought up to date **incrementally**: affected partials are swapped in
 place (keeping their fold position) and the fold is re-run only from
 the minimum affected checkpoint, never from scratch.
 
-Every operator is transactional: if re-interpretation or re-folding
-fails, ontology, mappings, SCD policies, partials and the bus event log
-are restored, and the original exception propagates.
+Every operator runs in one integration transaction: if
+re-interpretation, re-folding or a subscriber fails, ontology,
+mappings, SCD policies, partials and the bus event log are restored,
+nothing is stored, and the original exception propagates.
 
 Each applied operator publishes two kinds of envelopes:
 
@@ -322,52 +323,35 @@ class EvolutionService:
             for requirement_id in order
             if is_affected(self._integration.partial_design(requirement_id))
         ]
-        old_partials = {
-            requirement_id: self._integration.partial_design(requirement_id)
-            for requirement_id in affected
-        }
-        try:
-            mutate()
-            fresh = {
-                requirement_id: self._interpretation.reinterpret(
-                    old_partials[requirement_id]
-                )
-                for requirement_id in affected
-            }
-        except Exception:
-            self._restore(snapshot)
-            raise
         start = min(
             (order.index(requirement_id) for requirement_id in affected),
             default=None,
         )
-        marker = self._bus.marker()
         try:
-            for requirement_id in affected:
-                self._interpretation.publish_replacement(fresh[requirement_id])
-                self._integration.replace_partial(
-                    requirement_id, fresh[requirement_id]
+            with self._integration.transaction():
+                mutate()
+                fresh = [
+                    self._interpretation.reinterpret(partial)
+                    for partial in map(self._integration.partial_design, affected)
+                ]
+                for requirement_id, partial in zip(affected, fresh):
+                    self._interpretation.publish_replacement(partial)
+                    self._integration.replace_partial(requirement_id, partial)
+                if start is not None:
+                    self._integration.reintegrate_from(start)
+                self._bus.publish(
+                    TOPIC_EVOLUTION,
+                    KIND_EVOLVED,
+                    payload={
+                        "operator": operator,
+                        "detail": dict(detail),
+                        "affected": list(affected),
+                        "refolded_from": start,
+                    },
+                    producer=self.name,
                 )
-            if start is not None:
-                self._integration.reintegrate_from(start)
-            self._bus.publish(
-                TOPIC_EVOLUTION,
-                KIND_EVOLVED,
-                payload={
-                    "operator": operator,
-                    "detail": dict(detail),
-                    "affected": list(affected),
-                    "refolded_from": start,
-                },
-                producer=self.name,
-            )
         except Exception:
-            self._bus.rollback(marker)
             self._restore(snapshot)
-            for requirement_id, partial in old_partials.items():
-                self._integration.replace_partial(requirement_id, partial)
-            if start is not None:
-                self._integration.reintegrate_from(start)
             raise
         return EvolutionReport(
             operator=operator,

@@ -7,11 +7,12 @@ requirement order, the per-position checkpoints that make incremental
 change/remove sub-linear, the ``integration_counts`` observable, and
 the satisfiability validation of the unified design.
 
-State is persisted through the session-scoped metadata repository on
-every commit — requirement, partial design, unified design, the fold
-checkpoint and the insertion order — so a reloaded session resumes
-incrementally instead of re-integrating from scratch.  Each commit is
-announced as a ``design.committed`` envelope on the ``unified`` topic.
+State is persisted through the session-scoped metadata repository
+once per committed operation (:meth:`IntegrationService.transaction`)
+— requirements, partial designs, unified design, fold checkpoints and
+insertion order — so a reloaded session resumes incrementally instead
+of re-integrating from scratch.  Each commit is announced as a
+``design.committed`` envelope on the ``unified`` topic.
 
 The service encodes each unified fold snapshot into its xMD/xLM trees
 exactly once, when the fold step produces it, and keeps the trees with
@@ -26,7 +27,8 @@ flow's cost, so the next fold step prices only what it builds.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.core.integrator import (
     EtlConsolidation,
@@ -39,7 +41,7 @@ from repro.core.requirements.model import InformationRequirement
 from repro.core.services import interpretation as _interpretation
 from repro.core.services.bus import ArtifactBus
 from repro.core.services.envelope import ArtifactEnvelope
-from repro.errors import IntegrationError, QuarryError
+from repro.errors import IntegrationError, UnknownRequirementError
 from repro.etlmodel.cost import CostModel
 from repro.etlmodel.flow import EtlFlow
 from repro.mdmodel.complexity import ComplexityWeights, DEFAULT_WEIGHTS
@@ -175,6 +177,8 @@ class IntegrationService:
         #: recent commit, collected by the session orchestrator into a
         #: :class:`~repro.core.services.reports.ChangeReport`.
         self._last_commit = None
+        #: The fold state the open transaction started from, or ``None``.
+        self._start: Optional[tuple] = None
         bus.subscribe(_interpretation.TOPIC_PARTIALS, self._on_partial)
 
     # -- introspection -----------------------------------------------------
@@ -207,14 +211,87 @@ class IntegrationService:
         try:
             return self._partials[requirement_id]
         except KeyError:
-            raise QuarryError(
-                f"unknown requirement {requirement_id!r}"
-            ) from None
+            raise UnknownRequirementError(requirement_id) from None
 
     def take_last_commit(self):
         """Pop the (partial, md_result, etl_result) of the latest commit."""
         result, self._last_commit = self._last_commit, None
         return result
+
+    # -- transactions ------------------------------------------------------
+
+    @contextmanager
+    def transaction(self) -> Iterator[None]:
+        """Run one design change as a whole or not at all.
+
+        Fold steps inside it change only memory and the bus log.  On
+        success the repository is written once (:meth:`_persist`); on
+        any exception the fold state it started from goes back, the
+        bus log is rolled back and the exception propagates.  A
+        transaction opened inside another one joins it.
+        """
+        if self._start is not None:
+            yield
+            return
+        self._start = start = (
+            list(self._order),
+            dict(self._partials),
+            list(self._checkpoints),
+            self._unified,
+        )
+        marker = self._bus.marker()
+        try:
+            yield
+        except BaseException:
+            self._order, self._partials, self._checkpoints, self._unified = start
+            self._last_commit = None
+            self._bus.rollback(marker)
+            raise
+        finally:
+            self._start = None
+        self._persist(start)
+
+    def _persist(self, start: tuple) -> None:
+        """Store what the fold changed since ``start``.
+
+        Fold steps replace partials and checkpoints and never mutate
+        them, so identity tells what changed: requirements that left
+        the fold are deleted, new or replaced partials are stored, and
+        checkpoints are stored from the first one that is not the
+        object ``start`` held.
+        """
+        order, partials, checkpoints, __ = start
+        repository = self._repository
+        for requirement_id in order:
+            if requirement_id not in self._partials:
+                repository.delete_requirement(requirement_id)
+        for requirement_id in self._order:
+            partial = self._partials[requirement_id]
+            if partial is not partials.get(requirement_id):
+                trees = partial.trees
+                repository.save_requirement(partial.requirement, trees["xrq"])
+                repository.save_partial_design(
+                    requirement_id, trees["xmd"], trees["xlm"]
+                )
+        first, common = 0, min(len(checkpoints), len(self._checkpoints))
+        while first < common and checkpoints[first] is self._checkpoints[first]:
+            first += 1
+        if first == len(self._checkpoints) == len(checkpoints):
+            return  # the fold did not change
+        if first < len(checkpoints):
+            repository.truncate_checkpoints(first)
+        for position in range(first, len(self._checkpoints)):
+            snapshot = self._checkpoints[position]
+            repository.save_checkpoint(
+                position, snapshot.xmd_tree, snapshot.xlm_tree
+            )
+        repository.save_unified_design(
+            "current",
+            self._unified.xmd_tree,
+            self._unified.xlm_tree,
+            list(self._order),
+        )
+        repository.save_session_state(self._order)
 
     # -- the fold ----------------------------------------------------------
 
@@ -258,9 +335,6 @@ class IntegrationService:
         self._order.append(requirement_id)
         self._checkpoints.append(self._unified)
         self.verify_satisfiability()
-        self._save_partial(partial)
-        self._save_unified()
-        self._save_checkpoint()
         self._announce_commit()
 
     def remove(self, requirement_id: str) -> None:
@@ -273,33 +347,16 @@ class IntegrationService:
         costs no integration calls at all.
         """
         if requirement_id not in self._partials:
-            raise QuarryError(f"unknown requirement {requirement_id!r}")
+            raise UnknownRequirementError(requirement_id)
         index = self._order.index(requirement_id)
         del self._partials[requirement_id]
         self._order.pop(index)
-        self._repository.delete_requirement(requirement_id)
         self._bus.publish(
             _interpretation.TOPIC_PARTIALS,
             _interpretation.KIND_REMOVED,
             payload={"requirement": requirement_id},
             producer=self.name,
         )
-        self.reintegrate_from(index)
-
-    def reinsert(self, index: int, partial: PartialDesign) -> None:
-        """Put a removed partial design back at fold position ``index``.
-
-        Undoes :meth:`remove` when the replacement of a changed
-        requirement fails, whether or not that replacement got as far
-        as a commit: the requirement and partial documents are stored
-        again and the fold is re-run from ``index``.
-        """
-        requirement_id = partial.requirement.id
-        if requirement_id in self._order:
-            self._order.remove(requirement_id)
-        self._partials[requirement_id] = partial
-        self._order.insert(index, requirement_id)
-        self._save_partial(partial)
         self.reintegrate_from(index)
 
     def replace_partial(
@@ -313,26 +370,14 @@ class IntegrationService:
         that checkpoint is recomputed.  Returns the fold position.
         """
         if requirement_id not in self._partials:
-            raise QuarryError(f"unknown requirement {requirement_id!r}")
+            raise UnknownRequirementError(requirement_id)
         index = self._order.index(requirement_id)
         self._partials[requirement_id] = partial
-        self._save_partial(partial)
         return index
-
-    def rebuild(self) -> None:
-        """Re-integrate every partial design from scratch.
-
-        The pre-incremental code path, kept as the reference the
-        incremental updates are verified (and benchmarked) against —
-        both produce the same deterministic fold over the requirement
-        order, so their results are identical.
-        """
-        self.reintegrate_from(0)
 
     def reintegrate_from(self, start: int) -> None:
         """Restore the checkpoint before ``start`` and re-fold the rest."""
         del self._checkpoints[start:]
-        self._repository.truncate_checkpoints(start)
         self._unified = self._checkpoints[start - 1] if start else self._empty
         for requirement_id in self._order[start:]:
             partial = self._partials[requirement_id]
@@ -344,34 +389,8 @@ class IntegrationService:
                 self._unified,
             )
             self._checkpoints.append(self._unified)
-            self._save_checkpoint()
         self.verify_satisfiability()
-        self._save_unified()
         self._announce_commit()
-
-    def _save_partial(self, partial: PartialDesign) -> None:
-        trees = partial.trees
-        self._repository.save_requirement(partial.requirement, trees["xrq"])
-        self._repository.save_partial_design(
-            partial.requirement.id, trees["xmd"], trees["xlm"]
-        )
-
-    def _save_checkpoint(self) -> None:
-        """Store the newest checkpoint (the current unified design)."""
-        self._repository.save_checkpoint(
-            len(self._checkpoints) - 1,
-            self._unified.xmd_tree,
-            self._unified.xlm_tree,
-        )
-
-    def _save_unified(self) -> None:
-        self._repository.save_unified_design(
-            "current",
-            self._unified.xmd_tree,
-            self._unified.xlm_tree,
-            list(self._order),
-        )
-        self._repository.save_session_state(self._order)
 
     def _announce_commit(self) -> None:
         self._bus.publish(

@@ -9,9 +9,10 @@ its own bus event log and its own fold state, so concurrent sessions
 never observe each other's artefacts.
 
 The session is also the *transaction boundary* of the lifecycle: every
-mutating operation brackets the pipeline with a bus marker and rolls
-the event log back if any stage raises, so the persisted log only ever
-contains committed history.
+design change runs in one integration ``transaction()``, which writes
+the repository once on success and puts the fold state and the bus
+event log back if any stage raises, so the persisted documents and log
+only ever contain committed history.
 
 ``Quarry`` is another name for :class:`DesignSession`: the end-to-end
 DW design lifecycle of Figure 1.  Typical use::
@@ -50,7 +51,11 @@ from repro.core.services.integration import (
 from repro.core.services.interpretation import InterpretationService
 from repro.core.services.reports import ChangeReport, DesignStatus
 from repro.engine.database import Database
-from repro.errors import QuarryError
+from repro.errors import (
+    DuplicateRequirementError,
+    QuarryError,
+    UnknownRequirementError,
+)
 from repro.etlmodel.cost import CostModel
 from repro.etlmodel.flow import EtlFlow
 from repro.mdmodel.complexity import ComplexityWeights, DEFAULT_WEIGHTS, analyze
@@ -172,10 +177,7 @@ class DesignSession:
     ) -> ChangeReport:
         """Run one new requirement through the full service pipeline."""
         if self._integration.has(requirement.id):
-            raise QuarryError(
-                f"requirement {requirement.id!r} already exists; use "
-                f"change_requirement"
-            )
+            raise DuplicateRequirementError(requirement.id)
         return self._pipeline(
             lambda: self._elicitation.submit(requirement), action="added"
         )
@@ -196,10 +198,7 @@ class DesignSession:
         assumptions on the submitted design instead of generating one.
         """
         if self._integration.has(requirement.id):
-            raise QuarryError(
-                f"requirement {requirement.id!r} already exists; use "
-                f"change_requirement"
-            )
+            raise DuplicateRequirementError(requirement.id)
         return self._pipeline(
             lambda: self._elicitation.submit_external(
                 requirement, md_schema, etl_flow
@@ -212,21 +211,15 @@ class DesignSession:
     ) -> ChangeReport:
         """Replace an existing requirement and rebuild the design.
 
-        Atomic: if the replacement fails, the old partial design goes
-        back to its fold position and the bus log is rolled back.
+        Atomic: the remove and the add run in one transaction, so if
+        the replacement fails the design, the repository and the bus
+        log stay as they were.
         """
         if not self._integration.has(requirement.id):
-            raise QuarryError(f"unknown requirement {requirement.id!r}")
-        marker = self._bus.marker()
-        position = self._integration.order().index(requirement.id)
-        old_partial = self._integration.partial_design(requirement.id)
-        self.remove_requirement(requirement.id)
-        try:
+            raise UnknownRequirementError(requirement.id)
+        with self._integration.transaction():
+            self.remove_requirement(requirement.id)
             report = self.add_requirement(requirement)
-        except Exception:
-            self._integration.reinsert(position, old_partial)
-            self._bus.rollback(marker)
-            raise
         return ChangeReport(
             requirement_id=requirement.id,
             action="changed",
@@ -237,19 +230,20 @@ class DesignSession:
 
     def remove_requirement(self, requirement_id: str) -> ChangeReport:
         """Drop a requirement; only the fold suffix is re-integrated."""
-        marker = self._bus.marker()
-        try:
+        with self._integration.transaction():
             self._integration.remove(requirement_id)
-        except Exception:
-            self._bus.rollback(marker)
-            raise
-        self._integration.take_last_commit()
         return ChangeReport(requirement_id=requirement_id, action="removed")
 
     def rebuild(self) -> None:
-        """Re-integrate every partial design from scratch."""
-        self._integration.rebuild()
-        self._integration.take_last_commit()
+        """Re-integrate every partial design from scratch.
+
+        The pre-incremental code path, kept as the reference the
+        incremental updates are verified (and benchmarked) against:
+        both fold the same requirement order deterministically, so
+        their results are identical.
+        """
+        with self._integration.transaction():
+            self._integration.reintegrate_from(0)
 
     # -- design evolution --------------------------------------------------
 
@@ -282,23 +276,16 @@ class DesignSession:
         return self._evolution.retype_property(property_id, new_type)
 
     def _pipeline(self, publish, action: str) -> ChangeReport:
-        """Run one elicitation through the bus; roll the log back on error.
+        """Run one elicitation through the bus in one transaction.
 
         Delivery is synchronous, so by the time ``publish`` returns the
-        interpretation and integration services have committed.  If any
-        stage raises, the events of the failed operation are dropped
-        from the log (in-memory fold state is the integration service's
-        concern and follows pre-service semantics).
+        interpretation and integration services have committed.
         """
-        marker = self._bus.marker()
-        try:
+        with self._integration.transaction():
             publish()
-        except Exception:
-            self._bus.rollback(marker)
-            raise
-        commit = self._integration.take_last_commit()
-        if commit is None:  # no subscriber committed — nothing to report
-            raise QuarryError("pipeline produced no committed design")
+            commit = self._integration.take_last_commit()
+            if commit is None:  # no subscriber committed — nothing to report
+                raise QuarryError("pipeline produced no committed design")
         partial, md_result, etl_result = commit
         return ChangeReport(
             requirement_id=partial.requirement.id,

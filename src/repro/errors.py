@@ -252,6 +252,25 @@ class RequirementError(QuarryError):
     """Raised when an information requirement is malformed or unmappable."""
 
 
+class UnknownRequirementError(QuarryError):
+    """Raised when a design change names a requirement the design lacks."""
+
+    def __init__(self, requirement_id: str) -> None:
+        super().__init__(f"unknown requirement {requirement_id!r}")
+        self.requirement_id = requirement_id
+
+
+class DuplicateRequirementError(QuarryError):
+    """Raised when adding a requirement whose id the design already has."""
+
+    def __init__(self, requirement_id: str) -> None:
+        super().__init__(
+            f"requirement {requirement_id!r} already exists; use "
+            f"change_requirement"
+        )
+        self.requirement_id = requirement_id
+
+
 class InterpretationError(QuarryError):
     """Raised when a requirement cannot be translated into partial designs."""
 

@@ -71,7 +71,12 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.deployer import DeploymentResult
 
 from repro.core.services.session import DesignSession
-from repro.errors import QuarryError, RepositoryError
+from repro.errors import (
+    DuplicateRequirementError,
+    QuarryError,
+    RepositoryError,
+    UnknownRequirementError,
+)
 from repro.locks import new_lock, new_rlock
 from repro.repository.metadata import MetadataRepository
 
@@ -551,10 +556,12 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(exc.status, {"error": str(exc)})
         except KeyError as exc:
             self._reply(404, {"error": f"not found: {exc}"})
+        except UnknownRequirementError as exc:
+            self._reply(404, {"error": str(exc)})
+        except DuplicateRequirementError as exc:
+            self._reply(409, {"error": str(exc)})
         except (QuarryError, RepositoryError) as exc:
-            message = str(exc)
-            status = 409 if "already exists" in message else 400
-            self._reply(status, {"error": message})
+            self._reply(400, {"error": str(exc)})
         except Exception as exc:  # the server must survive any request
             self._reply(
                 500, {"error": f"{type(exc).__name__}: {exc}"}

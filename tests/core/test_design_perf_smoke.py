@@ -8,7 +8,10 @@ that breaks incrementality fails CI even when it is functionally
 correct.
 """
 
-from repro import Quarry
+import pytest
+
+from repro import Quarry, QuarryError
+from repro.core.services.evolution import TOPIC_EVOLUTION
 from repro.etlmodel.cost import CostModel
 from repro.fuzz.flowgen import build_flow_trial
 from repro.repository.metadata import decode_design
@@ -102,6 +105,27 @@ class TestFoldStepCost:
         # The unified flow's cost comes from the checkpoint the step
         # starts from, not from pricing it again.
         assert len(calls) == 2 * steps
+
+    def test_refused_evolution_runs_each_refold_step_once(self):
+        quarry = corpus_session(12)
+
+        def refuse(envelope):
+            raise QuarryError("evolution refused")
+
+        quarry.bus.subscribe(TOPIC_EVOLUTION, refuse)
+        order = quarry.integration.order()
+        events = quarry.repository.bus_event_count()
+        before = dict(quarry.integration_counts)
+        with pytest.raises(QuarryError, match="evolution refused"):
+            quarry.rename_concept("Customer", "Client123")
+        # Seven fold steps ran forward; putting the captured fold state
+        # back re-folds nothing.
+        assert {
+            kind: quarry.integration_counts[kind] - before[kind]
+            for kind in before
+        } == {"md": 7, "etl": 7}
+        assert quarry.integration.order() == order
+        assert quarry.repository.bus_event_count() == events
 
     def test_consecutive_checkpoints_share_unchanged_node_subtrees(self):
         quarry = corpus_session(12)

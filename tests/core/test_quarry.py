@@ -3,7 +3,8 @@
 import pytest
 
 from repro import Quarry, QuarryError, RequirementBuilder
-from repro.core.services.integration import TOPIC_UNIFIED
+from repro.core.services.evolution import TOPIC_EVOLUTION
+from repro.core.services.integration import TOPIC_UNIFIED, IntegrationService
 from repro.engine import Database, OlapQuery, query_star
 from repro.sources import tpch
 from repro.xformats import xlm, xmd
@@ -25,6 +26,149 @@ def loaded_db():
     database = Database()
     database.load_source(tpch.schema(), tpch.generate(0.2, seed=3))
     return database
+
+
+def designed(quarry):
+    md, etl = quarry.unified_design()
+    return xmd.dumps(md), xlm.dumps(etl)
+
+
+def replayed(quarry):
+    md, etl = quarry.replay_unified_design()
+    return xmd.dumps(md), xlm.dumps(etl)
+
+
+def observed(quarry):
+    """What a refused design change must leave exactly as it was."""
+    repository = quarry.repository
+    return (
+        [requirement.id for requirement in quarry.requirements()],
+        designed(quarry),
+        [
+            (event.position, event.topic, event.kind)
+            for event in quarry.bus.events()
+        ],
+        set(repository.requirement_ids()),
+        set(repository.partial_design_ids()),
+        [
+            repository.checkpoint_trees(position)
+            for position in range(repository.checkpoint_count())
+        ],
+        # Every document, the ``current`` design and the session state
+        # included, in collection order.
+        repository.store.snapshot()["collections"],
+    )
+
+
+def refuse_once(quarry, topic, when=lambda payload: True):
+    """Subscribe a consumer of ``topic`` that refuses one envelope."""
+    armed = [True]
+
+    def refuse(envelope):
+        if armed[0] and when(envelope.payload):
+            armed[0] = False
+            raise QuarryError(f"{topic} refused")
+
+    quarry.bus.subscribe(topic, refuse)
+
+
+def add_refused_at_commit(quarry, monkeypatch):
+    refuse_once(quarry, TOPIC_UNIFIED)
+
+    def add():
+        quarry.add_requirement(build_quantity_requirement())
+
+    return add, "unified refused", add
+
+
+def add_refused_as_unsatisfiable(quarry, monkeypatch):
+    check = IntegrationService.satisfiability_problems
+    armed = [True]
+
+    def problems(integration):
+        if armed[0] and "IR3" in integration.order():
+            armed[0] = False
+            return ["IR3: refused"]
+        return check(integration)
+
+    monkeypatch.setattr(
+        IntegrationService, "satisfiability_problems", problems
+    )
+
+    def add():
+        quarry.add_requirement(build_quantity_requirement())
+
+    return add, "IR3: refused", add
+
+
+def remove_refused_at_commit(quarry, monkeypatch):
+    refuse_once(quarry, TOPIC_UNIFIED)
+
+    def remove():
+        quarry.remove_requirement("IR1")
+
+    return remove, "unified refused", remove
+
+
+def change_failing_in_interpretation(quarry, monkeypatch):
+    replacement = (
+        RequirementBuilder("IR1", "broken")
+        .measure("revenue", "Lineitem_l_nosuch", "SUM")
+        .per("Part_p_name")
+        .build()
+    )
+    return (
+        lambda: quarry.change_requirement(replacement),
+        "unknown datatype property 'Lineitem_l_nosuch'",
+        lambda: quarry.change_requirement(build_revenue_requirement("IR2")),
+    )
+
+
+def change_refused_at_commit(quarry, monkeypatch):
+    # The replacement commits, then a downstream consumer of the
+    # unified topic refuses the commit.
+    refuse_once(
+        quarry,
+        TOPIC_UNIFIED,
+        lambda payload: payload["requirements"] == ["IR2", "IR1"],
+    )
+
+    def change():
+        quarry.change_requirement(build_revenue_requirement())
+
+    return change, "unified refused", change
+
+
+def rename_refused_when_evolved(quarry, monkeypatch):
+    refuse_once(quarry, TOPIC_EVOLUTION)
+
+    def rename():
+        quarry.rename_concept("Supplier", "Vendor")
+
+    return rename, "evolution refused", rename
+
+
+def retype_failing_in_reinterpretation(quarry, monkeypatch):
+    # IR1 slices on Nation_n_name = 'SPAIN'; a decimal n_name can no
+    # longer be compared against a string literal.
+    return (
+        lambda: quarry.retype_property("Nation_n_name", "decimal"),
+        "cannot compare decimal with string",
+        lambda: quarry.retype_property("Lineitem_l_quantity", "decimal"),
+    )
+
+
+#: Each refused design change: its set-up returns the operation, the
+#: refusal it raises and a valid operation to run after it.
+REFUSALS = {
+    "add-commit": add_refused_at_commit,
+    "add-satisfiability": add_refused_as_unsatisfiable,
+    "remove-commit": remove_refused_at_commit,
+    "interpretation": change_failing_in_interpretation,
+    "commit": change_refused_at_commit,
+    "rename-evolved": rename_refused_when_evolved,
+    "retype-reinterpretation": retype_failing_in_reinterpretation,
+}
 
 
 class TestScenarioDWDesign:
@@ -101,59 +245,22 @@ class TestScenarioAccommodatingChanges:
         assert fact.grain == ["p_brand"]
         assert quarry.satisfiability_problems() == []
 
-    @pytest.mark.parametrize("failure", ["interpretation", "commit"])
-    def test_failed_change_leaves_the_design_as_it_was(self, quarry, failure):
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_failed_change_leaves_the_design_as_it_was(
+        self, quarry, monkeypatch, case
+    ):
         quarry.add_requirement(build_revenue_requirement())
         quarry.add_requirement(build_netprofit_requirement())
-        repository = quarry.repository
-
-        def observed():
-            md, etl = quarry.unified_design()
-            return (
-                [requirement.id for requirement in quarry.requirements()],
-                xmd.dumps(md),
-                xlm.dumps(etl),
-                repository.bus_event_count(),
-                [
-                    repository.checkpoint_trees(position)
-                    for position in range(repository.checkpoint_count())
-                ],
-                repository.requirement_tree("IR1"),
-                repository.partial_design_trees("IR1"),
-            )
-
-        before = observed()
-        if failure == "interpretation":
-            replacement = (
-                RequirementBuilder("IR1", "broken")
-                .measure("revenue", "Lineitem_l_nosuch", "SUM")
-                .per("Part_p_name")
-                .build()
-            )
-            refusal = "unknown datatype property 'Lineitem_l_nosuch'"
-        else:
-            # The replacement commits, then a downstream consumer of the
-            # unified topic refuses the commit.
-            replacement = build_revenue_requirement()
-
-            def refuse(envelope):
-                if envelope.payload["requirements"] == ["IR2", "IR1"]:
-                    raise QuarryError("commit refused")
-
-            quarry.bus.subscribe(TOPIC_UNIFIED, refuse)
-            refusal = "commit refused"
-        with pytest.raises(QuarryError, match=refusal):
-            quarry.change_requirement(replacement)
-        assert observed() == before
-        md, etl = quarry.unified_design()
-        replayed_md, replayed_etl = quarry.replay_unified_design()
-        assert (xmd.dumps(replayed_md), xlm.dumps(replayed_etl)) == (
-            xmd.dumps(md),
-            xlm.dumps(etl),
+        before = observed(quarry)
+        operation, refusal, next_operation = REFUSALS[case](
+            quarry, monkeypatch
         )
-        report = quarry.change_requirement(build_revenue_requirement("IR2"))
-        assert report.action == "changed"
-        assert quarry.integration.order() == ["IR1", "IR2"]
+        with pytest.raises(QuarryError, match=refusal):
+            operation()
+        assert observed(quarry) == before
+        assert replayed(quarry) == designed(quarry)
+        next_operation()
+        assert replayed(quarry) == designed(quarry)
 
     def test_remove_requirement_rebuilds(self, quarry):
         quarry.add_requirement(build_revenue_requirement())

@@ -109,14 +109,14 @@ class TestArtifactBus:
         # Sequences rewind too: the next publish reuses the dropped slot.
         assert bus.publish("topic", "k", {}, producer="t").sequence == 2
 
-    def test_replay_redelivers_logged_payloads(self):
+    def test_logged_events_carry_payloads_not_attachments(self):
         bus = ArtifactBus(MetadataRepository(), "default")
         bus.publish("topic", "k", {"n": 1}, producer="t", attachment=object())
+        bus.publish("other", "k", {"n": 0}, producer="t")
         bus.publish("topic", "k", {"n": 2}, producer="t")
-        replayed = []
-        assert bus.replay("topic", replayed.append) == 2
-        assert [e.payload["n"] for e in replayed] == [1, 2]
-        assert all(e.attachment is None for e in replayed)
+        logged = bus.events("topic")
+        assert [e.payload["n"] for e in logged] == [1, 2]
+        assert all(e.attachment is None for e in logged)
 
     def test_envelope_roundtrip_excludes_attachment(self):
         envelope = ArtifactEnvelope(

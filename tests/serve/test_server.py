@@ -383,6 +383,15 @@ class TestLifecycle:
         assert status == 409
         assert "already exists" in payload["error"]
 
+    def test_removing_an_unknown_requirement_is_404(self, server):
+        call(server, "POST", "/sessions", {"name": "ghosts"})
+        status, payload = call(
+            server, "DELETE", "/sessions/ghosts/requirements/ghost"
+        )
+        assert (status, payload) == (
+            404, {"error": "unknown requirement 'ghost'"}
+        )
+
     def test_unknown_platform_is_400(self, server):
         call(server, "POST", "/sessions", {"name": "plat"})
         call(
