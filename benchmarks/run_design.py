@@ -19,9 +19,14 @@ writes ``BENCH_design.json``:
 The runner is also an equivalence gate: every incremental result is
 compared against a from-scratch reference (same xMD/xLM serialisation,
 same requirement order; identical documents for the repository probes;
-identical closures and paths for the ontology) and the process exits
-non-zero on any disagreement — a speedup is only reported for results
-that are known identical.
+identical closures and paths for the ontology), the bus-log replay
+(``replay_unified_design``) must reproduce the design after every
+incremental, changed, removed and evolved scenario, and the process
+exits non-zero on any disagreement — a speedup is only reported for
+results that are known identical.  Each design size also records how
+many events its bus log holds next to its requirement count: the log
+is compacted after committed changes, so it stays in proportion to the
+design, not to the number of changes.
 
 Usage::
 
@@ -79,6 +84,14 @@ def design_fingerprint(quarry: Quarry):
     )
 
 
+def check_replay(quarry: Quarry, label: str, mismatches) -> None:
+    """The bus-log replay must reproduce the session's design."""
+    md_schema, etl_flow = quarry.replay_unified_design()
+    replayed = (xmd.dumps(md_schema), xlm.dumps(etl_flow))
+    if replayed != design_fingerprint(quarry)[:2]:
+        mismatches.append(f"{label}: bus-log replay differs from the design")
+
+
 def best_of(rounds, action):
     best = float("inf")
     for __ in range(rounds):
@@ -110,6 +123,7 @@ def run_integrator_workloads(sizes, rounds, mismatches):
             quarry.add_requirement(extra)
             add_seconds = min(add_seconds, time.perf_counter() - started)
             quarry.remove_requirement(extra.id)
+        check_replay(quarry, f"N={count}: add then remove", mismatches)
 
         counts_before = dict(quarry.integration_counts)
         change_seconds = best_of(
@@ -118,15 +132,18 @@ def run_integrator_workloads(sizes, rounds, mismatches):
         change_integrations = (
             quarry.integration_counts["md"] - counts_before["md"]
         ) // rounds
+        check_replay(quarry, f"N={count}: change", mismatches)
 
         counts_before = dict(quarry.integration_counts)
         quarry.remove_requirement(last.id)
         remove_integrations = (
             quarry.integration_counts["md"] - counts_before["md"]
         )
+        check_replay(quarry, f"N={count}: remove", mismatches)
         started = time.perf_counter()
         quarry.add_requirement(last)
         readd_seconds = time.perf_counter() - started
+        check_replay(quarry, f"N={count}: re-add", mismatches)
 
         # Equivalence gate: after all the timed churn the design must be
         # indistinguishable from a from-scratch build of the same order.
@@ -137,6 +154,8 @@ def run_integrator_workloads(sizes, rounds, mismatches):
                 f"from-scratch reference"
             )
         results[str(count)] = {
+            "requirements": len(quarry.requirements()),
+            "bus_events": quarry.repository.bus_event_count(),
             "rebuild_seconds": rebuild_seconds,
             "incremental_add_seconds": add_seconds,
             "incremental_change_seconds": change_seconds,
@@ -239,9 +258,12 @@ def run_evolution_workloads(sizes, rounds, mismatches):
                 f"evolve@{count}: incremental evolution differs from "
                 f"from-scratch rebuild of the evolved domain"
             )
+        check_replay(quarry, f"evolve@{count}", mismatches)
         speedup = scratch_seconds / evolve_seconds
         results[str(count)] = {
             "operator": f"rename_concept({EVOLVED_CONCEPT!r}, 'Client')",
+            "requirements": len(quarry.requirements()),
+            "bus_events": quarry.repository.bus_event_count(),
             "affected_requirements": affected,
             "refolded_from_index": refolded_from,
             "incremental_evolve_seconds": evolve_seconds,

@@ -85,6 +85,16 @@ class Interpreter:
         )
 
     @property
+    def ontology(self) -> Ontology:
+        """The domain ontology (evolution rewrites it in place)."""
+        return self._ontology
+
+    @property
+    def mappings(self) -> SourceMappings:
+        """The source mappings (evolution rewrites them in place)."""
+        return self._mappings
+
+    @property
     def scd_policies(self):
         """The MD generator's concept -> SCD policy map (mutable)."""
         return self._md_generator.scd_policies

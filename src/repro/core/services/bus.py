@@ -15,7 +15,15 @@ metadata repository *before* delivery, which makes the bus:
   persisted and never an attachment,
 * **transactional at the session level** — ``marker()`` /
   ``rollback(marker)`` let an orchestrator drop the events of a failed
-  lifecycle operation so the log only ever contains committed history.
+  lifecycle operation so the log only ever contains committed history,
+* **compactable** — ``compact(positions)`` deletes events the log no
+  longer needs in one repository call.  The integration service decides
+  which (after each committed design change, never inside one); the bus
+  always keeps each topic's newest event, from which a reloaded bus
+  resumes its sequences and positions.  A compaction starts a new
+  generation, and ``rollback`` refuses a marker of an older one with
+  :class:`~repro.errors.StaleMarkerError`: the events it describes may
+  be gone.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import itertools
 from typing import Callable, Dict, List, Optional
 
 from repro.core.services.envelope import ArtifactEnvelope
-from repro.errors import QuarryError
+from repro.errors import QuarryError, StaleMarkerError
 from repro.locks import new_rlock
 
 Handler = Callable[[ArtifactEnvelope], None]
@@ -46,14 +54,19 @@ class ArtifactBus:
         #: publish (service pipelines chain topic to topic).
         self._lock = new_rlock("ArtifactBus._lock")
         self._id = next(_BUS_IDS)
+        #: Compactions so far; a marker is only good in its generation.
+        self._generation = 0  # guarded-by: ArtifactBus._lock
         # Resume sequences from a persisted log (session reload).
         self._sequences: Dict[str, int] = {}  # guarded-by: ArtifactBus._lock
+        #: Position of each topic's newest logged event.
+        self._newest: Dict[str, int] = {}  # guarded-by: ArtifactBus._lock
         self._next_position = 0  # guarded-by: ArtifactBus._lock
         for event in self._repository.bus_events():
             topic = event["topic"]
             self._sequences[topic] = max(
                 self._sequences.get(topic, 0), event["sequence"]
             )
+            self._newest[topic] = event["position"]
             self._next_position = max(
                 self._next_position, event["position"] + 1
             )
@@ -102,6 +115,7 @@ class ArtifactBus:
             )
             self._repository.append_bus_event(envelope.to_dict())
             self._sequences[topic] = sequence
+            self._newest[topic] = envelope.position
             self._next_position += 1
             for handler in self._subscribers.get(topic, []):
                 handler(envelope)
@@ -129,8 +143,10 @@ class ArtifactBus:
         with self._lock:
             return {
                 "bus": self._id,
+                "generation": self._generation,
                 "position": self._next_position - 1,
                 "sequences": dict(self._sequences),
+                "newest": dict(self._newest),
             }
 
     def rollback(self, marker: dict) -> int:
@@ -138,7 +154,10 @@ class ArtifactBus:
 
         Markers are bus-specific: rolling back a marker taken from a
         different bus instance (another session, or a reloaded one)
-        raises instead of silently truncating the wrong log.
+        raises instead of silently truncating the wrong log.  So does a
+        marker taken before a compaction (:class:`StaleMarkerError`),
+        since the log it describes may have lost events; both refusals
+        leave the log untouched.
 
         Subscribers are *not* notified: rollback compensates a failed
         lifecycle operation whose in-memory effects the orchestrator
@@ -152,9 +171,34 @@ class ArtifactBus:
                 f"{marker.get('bus')!r}"
             )
         with self._lock:
+            if marker["generation"] != self._generation:
+                raise StaleMarkerError(
+                    f"cannot roll back session {self._session!r} to a "
+                    f"marker taken before its bus log was compacted"
+                )
             dropped = self._repository.delete_bus_events_after(
                 marker["position"]
             )
             self._sequences = dict(marker["sequences"])
+            self._newest = dict(marker["newest"])
             self._next_position = marker["position"] + 1
             return dropped
+
+    # -- compaction --------------------------------------------------------
+
+    def compact(self, positions: List[int]) -> List[int]:
+        """Delete the logged events at ``positions``, in one repository call.
+
+        Each topic's newest event stays even when ``positions`` names
+        it, because a reloaded bus resumes its sequences and positions
+        from it; the positions kept for that reason are returned, so a
+        later compaction can drop them.  Deleting starts a new
+        generation: :meth:`rollback` refuses every older marker.
+        """
+        with self._lock:
+            newest = set(self._newest.values())
+            doomed = [position for position in positions if position not in newest]
+            if doomed:
+                self._repository.delete_bus_events(doomed)
+                self._generation += 1
+            return [position for position in positions if position in newest]

@@ -13,7 +13,9 @@ the minimum affected checkpoint, never from scratch.
 Every operator runs in one integration transaction: if
 re-interpretation, re-folding or a subscriber fails, ontology,
 mappings, SCD policies, partials and the bus event log are restored,
-nothing is stored, and the original exception propagates.
+nothing is stored, and the original exception propagates.  Once it
+commits, the rewritten ontology and mappings are stored too, so a
+reloaded session evolves the domain its design was built over.
 
 Each applied operator publishes two kinds of envelopes:
 
@@ -81,6 +83,7 @@ class EvolutionService:
         interpretation: InterpretationService,
         integration: IntegrationService,
         bus: ArtifactBus,
+        repository,
     ) -> None:
         self._ontology = ontology
         self._schema = schema
@@ -88,6 +91,7 @@ class EvolutionService:
         self._interpretation = interpretation
         self._integration = integration
         self._bus = bus
+        self._repository = repository  # session-scoped MetadataRepository
 
     # -- operators ---------------------------------------------------------
 
@@ -353,6 +357,9 @@ class EvolutionService:
         except Exception:
             self._restore(snapshot)
             raise
+        self._repository.save_ontology(self._ontology)
+        if self._mappings.snapshot() != snapshot[1]:  # a retype leaves them
+            self._repository.save_mappings(self._mappings)
         return EvolutionReport(
             operator=operator,
             detail=dict(detail),

@@ -14,6 +14,19 @@ insertion order — so a reloaded session resumes incrementally instead
 of re-integrating from scratch.  Each commit is announced as a
 ``design.committed`` envelope on the ``unified`` topic.
 
+The service also bounds the bus log.  It indexes every design event as
+it is logged by the slot it fills in a compacted log (:data:`_SLOTS`):
+for each live requirement its newest requirement event, the
+``partial.created`` that placed it in the fold order and the newest
+``partial.replaced`` after it, plus the newest ``design.committed``.
+An event pushed out of its slot is superseded.  After a transaction
+commits, and never inside one, the superseded events are deleted once
+they outnumber the live ones, so the design events in the log stop
+growing with the number of design changes while replay and a reloaded
+bus still find all they need.  The ``evolution`` and ``deployments``
+audit topics carry no design trees and stay whole: they grow by one
+event per evolution or deploy.
+
 The service encodes each unified fold snapshot into its xMD/xLM trees
 exactly once, when the fold step produces it, and keeps the trees with
 the checkpoint: the checkpoint document and the ``current`` unified
@@ -38,6 +51,7 @@ from repro.core.integrator import (
 )
 from repro.core.interpreter import PartialDesign
 from repro.core.requirements.model import InformationRequirement
+from repro.core.services import elicitation as _elicitation
 from repro.core.services import interpretation as _interpretation
 from repro.core.services.bus import ArtifactBus
 from repro.core.services.envelope import ArtifactEnvelope
@@ -52,6 +66,21 @@ from repro.xformats import xlm, xmd
 TOPIC_UNIFIED = "unified"
 
 KIND_COMMITTED = "design.committed"
+
+#: What each design event does to the compacted log: the slots of its
+#: requirement (``payload["requirement"]``) it empties, and the slot it
+#: fills, or ``None`` when it is superseded as soon as it is logged.
+_SLOTS = {
+    _elicitation.KIND_ADDED: (("requirement",), "requirement"),
+    _elicitation.KIND_EXTERNAL: (("requirement",), "requirement"),
+    _interpretation.KIND_CREATED: (("created", "replaced"), "created"),
+    _interpretation.KIND_REPLACED: (("replaced",), "replaced"),
+    _interpretation.KIND_REMOVED: (
+        ("requirement", "created", "replaced"),
+        None,
+    ),
+    KIND_COMMITTED: (("committed",), "committed"),
+}
 
 
 class _Snapshot(NamedTuple):
@@ -179,6 +208,18 @@ class IntegrationService:
         self._last_commit = None
         #: The fold state the open transaction started from, or ``None``.
         self._start: Optional[tuple] = None
+        #: Bus position of the live design event in each (slot,
+        #: requirement) pair, and the positions of superseded events.
+        self._live: Dict[tuple, int] = {}
+        self._superseded: List[int] = []
+        for envelope in bus.events():  # a reloaded session's log
+            self._observe(envelope)
+        for topic in (
+            _elicitation.TOPIC_REQUIREMENTS,
+            _interpretation.TOPIC_PARTIALS,
+            TOPIC_UNIFIED,
+        ):
+            bus.subscribe(topic, self._observe)
         bus.subscribe(_interpretation.TOPIC_PARTIALS, self._on_partial)
 
     # -- introspection -----------------------------------------------------
@@ -225,10 +266,11 @@ class IntegrationService:
         """Run one design change as a whole or not at all.
 
         Fold steps inside it change only memory and the bus log.  On
-        success the repository is written once (:meth:`_persist`); on
-        any exception the fold state it started from goes back, the
-        bus log is rolled back and the exception propagates.  A
-        transaction opened inside another one joins it.
+        success the repository is written once (:meth:`_persist`) and
+        the log is compacted if it is due (:meth:`_compact`); on any
+        exception the fold state it started from goes back, the bus log
+        is rolled back and the exception propagates.  A transaction
+        opened inside another one joins it.
         """
         if self._start is not None:
             yield
@@ -239,17 +281,20 @@ class IntegrationService:
             list(self._checkpoints),
             self._unified,
         )
+        index = dict(self._live), list(self._superseded)
         marker = self._bus.marker()
         try:
             yield
         except BaseException:
             self._order, self._partials, self._checkpoints, self._unified = start
+            self._live, self._superseded = index
             self._last_commit = None
             self._bus.rollback(marker)
             raise
         finally:
             self._start = None
         self._persist(start)
+        self._compact()
 
     def _persist(self, start: tuple) -> None:
         """Store what the fold changed since ``start``.
@@ -292,6 +337,41 @@ class IntegrationService:
             list(self._order),
         )
         repository.save_session_state(self._order)
+
+    # -- the bus log -------------------------------------------------------
+
+    def _observe(self, envelope: ArtifactEnvelope) -> None:
+        """Index a logged design event by its slot (:data:`_SLOTS`)."""
+        slots = _SLOTS.get(envelope.kind)
+        if slots is None:
+            return  # not a design event: the audit topics stay whole
+        vacated, filled = slots
+        requirement_id = envelope.payload.get("requirement")
+        for slot in vacated:
+            position = self._live.pop((slot, requirement_id), None)
+            if position is not None:
+                self._superseded.append(position)
+        if filled is None:
+            self._superseded.append(envelope.position)
+        else:
+            self._live[(filled, requirement_id)] = envelope.position
+
+    def _compact(self) -> None:
+        """Delete the superseded design events once they outnumber the
+        live ones.
+
+        Counting as events are logged keeps this check O(1) per commit.
+        Waiting until the superseded events outnumber the live ones
+        batches the deletes, and each event is deleted once; how many
+        commits one repository call covers depends on how many live
+        design events there are (a session of few requirements whose
+        traffic adds and removes them compacts on almost every commit).
+        It runs after a transaction commits, never inside one, whose
+        rollback needs the events after its marker; the bus keeps each
+        topic's newest event.
+        """
+        if len(self._superseded) > len(self._live):
+            self._superseded = self._bus.compact(self._superseded)
 
     # -- the fold ----------------------------------------------------------
 

@@ -121,6 +121,7 @@ class DesignSession:
             self._interpretation,
             self._integration,
             self._bus,
+            self._repository,
         )
 
     # -- component access --------------------------------------------------
@@ -383,12 +384,14 @@ class DesignSession:
     ) -> "DesignSession":
         """Resume a design session from a persisted repository.
 
-        The ontology is read back from the repository.  Stores written
-        by this version carry the full fold state (partial designs,
-        checkpoints, insertion order), which is restored directly —
-        zero integration calls, so later changes stay incremental.
-        Legacy stores without session state fall back to re-adding the
-        requirements in their stored order.
+        The ontology is read back from the repository, and so are its
+        mappings once an evolution operator has stored them; the
+        ``mappings`` argument serves stores that hold none.  Stores
+        written by this version carry the full fold state (partial
+        designs, checkpoints, insertion order), which is restored
+        directly — zero integration calls, so later changes stay
+        incremental.  Legacy stores without session state fall back to
+        re-adding the requirements in their stored order.
         """
         repository = MetadataRepository.load_from(path)
         scoped = repository.for_session(session)
@@ -396,10 +399,11 @@ class DesignSession:
         if not ontology_names:
             raise QuarryError("repository holds no ontology")
         ontology = scoped.load_ontology(ontology_names[0])
+        stored_mappings = scoped.load_mappings(ontology.name)
         resumed = cls(
             ontology,
             schema,
-            mappings,
+            stored_mappings if stored_mappings is not None else mappings,
             repository=repository,
             session=session,
             **kwargs,

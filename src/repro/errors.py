@@ -271,6 +271,11 @@ class DuplicateRequirementError(QuarryError):
         self.requirement_id = requirement_id
 
 
+class StaleMarkerError(QuarryError):
+    """Raised when rolling the bus back to a marker taken before the
+    log was compacted: the events that marker describes are gone."""
+
+
 class InterpretationError(QuarryError):
     """Raised when a requirement cannot be translated into partial designs."""
 

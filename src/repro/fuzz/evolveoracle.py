@@ -4,7 +4,7 @@ Each seed builds a random *design script* over the TPC-H domain — a
 mix of requirement additions/removals and the four design-evolution
 operators (rename / split / merge / retype), under randomly assigned
 SCD policies — and runs it through one :class:`repro.core.Quarry`
-session.  Three things must then hold:
+session.  Four things must then hold:
 
 * **Rebuild equivalence.**  Evolution re-folds only the affected
   suffix of the requirement order; re-integrating everything from
@@ -12,7 +12,12 @@ session.  Three things must then hold:
   (xMD and xLM serialisations compared as text).
 * **Replay equivalence.**  Folding the artifact-bus event log
   (``replay_unified_design``) must reproduce the evolved design — the
-  typed ``partial.replaced`` envelopes carry enough to reconstruct it.
+  typed ``partial.replaced`` envelopes carry enough to reconstruct it,
+  also after the log has been compacted.
+* **Resume equivalence.**  The session saved to a file and loaded back
+  (``save_to``/``Quarry.load_from``) must hold the same design, in the
+  same order, with zero integration calls, over the same ontology and
+  mappings, and its replay must reproduce it too.
 * **Mode parity.**  The final design's ETL executes on a generated
   TPC-H micro-database in both engine modes
   (:func:`repro.fuzz.oracle.run_mode`); every loaded table, dimension
@@ -22,14 +27,16 @@ session.  Three things must then hold:
 Scripts may contain ops that fail (merging concepts on different
 tables, retypes that break a requirement's expression typing): the
 evolution service promises transactional rollback, so a failed op must
-leave all three equivalences intact — the oracle skips it and keeps
+leave all four intact — the oracle skips it and keeps
 going.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import random
+import tempfile
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -38,6 +45,7 @@ from repro.core.requirements import RequirementBuilder
 from repro.errors import QuarryError
 from repro.etlmodel.equivalence import prune_columns
 from repro.fuzz.oracle import MODES, run_mode
+from repro.ontology import io as ontology_io
 from repro.sources import tpch
 
 #: Effective date stamped on SCD validity windows — fixed, never wall
@@ -338,13 +346,33 @@ def _micro_database(md_schema):
     return database
 
 
+def _resumed(quarry: Quarry) -> Quarry:
+    """The session saved to a temporary file and loaded back."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "session.json")
+        quarry.save_to(path)
+        return Quarry.load_from(
+            path,
+            tpch.schema(),
+            tpch.mappings(),
+            scd_policies=dict(quarry.interpretation.interpreter.scd_policies),
+            scd_effective_date=_EFFECTIVE_DATE,
+        )
+
+
+def _domain(quarry: Quarry) -> Tuple[str, dict]:
+    """The session's ontology text and mappings snapshot."""
+    interpreter = quarry.interpretation.interpreter
+    return ontology_io.dumps(interpreter.ontology), interpreter.mappings.snapshot()
+
+
 def check_evolve_trial(trial: EvolveTrial) -> Optional[str]:
     """``None`` when all equivalences hold, else a description.
 
     Categories (text before the first colon): ``evolve-crash``,
-    ``evolve-replay-divergence``, ``evolve-rebuild-divergence`` and
-    ``evolve-mode-divergence`` — the shrinker preserves the category
-    while minimising.
+    ``evolve-replay-divergence``, ``evolve-resume-divergence``,
+    ``evolve-rebuild-divergence`` and ``evolve-mode-divergence`` — the
+    shrinker preserves the category while minimising.
     """
     quarry = Quarry(
         tpch.ontology(),
@@ -374,6 +402,19 @@ def check_evolve_trial(trial: EvolveTrial) -> Optional[str]:
         return (
             "evolve-replay-divergence: bus-log replay does not "
             "reproduce the evolved design"
+        )
+
+    resumed = _resumed(quarry)
+    if (
+        _fingerprint(resumed.unified_design()) != incremental
+        or resumed.integration.order() != quarry.integration.order()
+        or resumed.integration_counts != {"md": 0, "etl": 0}
+        or _fingerprint(resumed.replay_unified_design()) != incremental
+        or _domain(resumed) != _domain(quarry)
+    ):
+        return (
+            "evolve-resume-divergence: the saved and reloaded session "
+            "differs from the live one"
         )
 
     md_schema, etl_flow = quarry.unified_design()

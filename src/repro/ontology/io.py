@@ -16,7 +16,7 @@ Lines starting with ``#`` are comments.  Strings use double quotes with
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import OntologyParseError
 from repro.expressions.types import ScalarType
@@ -34,10 +34,32 @@ def _quote(text: str) -> str:
     return f'"{escaped}"'
 
 
+def _parents_first(ontology: Ontology) -> List[Concept]:
+    """The concepts in declaration order, but each after its parent.
+
+    :func:`loads` adds concepts in text order and a parent must exist
+    before its children.  Renaming a concept moves it to the end of the
+    declaration order, and a merge can re-parent a concept onto one
+    declared after it; an ontology whose parents already come first
+    keeps its order.
+    """
+    ordered: Dict[str, Concept] = {}
+    for concept in ontology.concepts():
+        chain: List[Concept] = []
+        while concept.id not in ordered and concept not in chain:
+            chain.append(concept)
+            if concept.parent is None:
+                break
+            concept = ontology.concept(concept.parent)
+        for ancestor in reversed(chain):
+            ordered[ancestor.id] = ancestor
+    return list(ordered.values())
+
+
 def dumps(ontology: Ontology) -> str:
     """Serialise an ontology to its text representation."""
     lines = [f"ontology {ontology.name} {_quote(ontology.description)}"]
-    for concept in ontology.concepts():
+    for concept in _parents_first(ontology):
         parts = [f"concept {concept.id}"]
         if concept.parent is not None:
             parts.append(f"parent {concept.parent}")

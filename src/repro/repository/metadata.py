@@ -33,6 +33,11 @@ from repro.ontology import io as ontology_io
 from repro.ontology.model import Ontology
 from repro.repository.documents import Collection, DocumentStore
 from repro.repository import store as file_store
+from repro.sources.mappings import (
+    ConceptMapping,
+    PropertyMapping,
+    SourceMappings,
+)
 from repro.xformats import xlm, xmd, xrq
 from repro.xformats.xmljson import json_to_xml
 
@@ -40,6 +45,7 @@ REQUIREMENTS = "requirements"
 PARTIAL_DESIGNS = "partial_designs"
 UNIFIED_DESIGNS = "unified_designs"
 ONTOLOGIES = "ontologies"
+MAPPINGS = "mappings"
 DEPLOYMENTS = "deployments"
 BUS_EVENTS = "bus_events"
 CHECKPOINTS = "checkpoints"
@@ -62,6 +68,11 @@ def namespaced(collection_name: str, namespace: str) -> str:
     if not namespace:
         return collection_name
     return f"session::{namespace}::{collection_name}"
+
+
+def _event_id(position: int) -> str:
+    """The ``_id`` of the bus event logged at ``position``."""
+    return f"evt::{position:08d}"
 
 
 def namespace_for_session(session: str) -> str:
@@ -303,6 +314,52 @@ class MetadataRepository:
     def ontology_names(self) -> List[str]:
         return self._collection(ONTOLOGIES).ids()
 
+    def save_mappings(self, mappings: SourceMappings) -> str:
+        """Store an ontology's source mappings, keyed by the ontology name."""
+        snapshot = mappings.snapshot()
+        document = {
+            "_id": mappings.ontology_name,
+            "kind": "mappings",
+            "source": mappings.source_name,
+            "concepts": [
+                [binding.concept, binding.table, list(binding.key_columns)]
+                for binding in snapshot["concepts"].values()
+            ],
+            "properties": [
+                [binding.property, binding.table, binding.column]
+                for binding in snapshot["properties"].values()
+            ],
+        }
+        self._collection(MAPPINGS).replace(document)
+        return mappings.ontology_name
+
+    def load_mappings(self, ontology_name: str) -> Optional[SourceMappings]:
+        """The stored mappings of an ontology, or ``None`` if none are stored.
+
+        Reading never creates the collection, so a store that holds no
+        mappings saves as it did before.
+        """
+        if namespaced(MAPPINGS, self._namespace) not in self._store:
+            return None
+        collection = self._collection(MAPPINGS)
+        if not collection.has(ontology_name):
+            return None
+        document = collection.get(ontology_name)
+        mappings = SourceMappings(ontology_name, document["source"])
+        mappings.restore(
+            {
+                "concepts": {
+                    concept: ConceptMapping(concept, table, tuple(keys))
+                    for concept, table, keys in document["concepts"]
+                },
+                "properties": {
+                    property_id: PropertyMapping(property_id, table, column)
+                    for property_id, table, column in document["properties"]
+                },
+            }
+        )
+        return mappings
+
     # -- deployment records -------------------------------------------------------------
 
     def record_deployment(
@@ -331,7 +388,7 @@ class MetadataRepository:
     def append_bus_event(self, event: dict) -> str:
         """Append one artifact-bus event (already envelope-shaped)."""
         document = dict(event)
-        document["_id"] = f"evt::{event['position']:08d}"
+        document["_id"] = _event_id(event["position"])
         document["kind"] = "bus_event"
         self._collection(BUS_EVENTS).insert(document)
         return document["_id"]
@@ -350,6 +407,12 @@ class MetadataRepository:
         """Drop every event logged after bus position ``position``."""
         return self._collection(BUS_EVENTS).delete_many(
             {"position": {"$gt": position}}
+        )
+
+    def delete_bus_events(self, positions: List[int]) -> int:
+        """Drop the events logged at the given bus positions, in one call."""
+        return self._collection(BUS_EVENTS).delete_many(
+            {"_id": {"$in": [_event_id(position) for position in positions]}}
         )
 
     def bus_event_count(self) -> int:

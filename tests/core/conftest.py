@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro import Quarry
 from repro.core.requirements import RequirementBuilder
 from repro.sources import tpch
+
+from benchmarks._workloads import ROW_COUNTS, requirement_corpus
 
 
 @pytest.fixture(scope="session")
@@ -68,3 +71,14 @@ def revenue_requirement():
 @pytest.fixture
 def netprofit_requirement():
     return build_netprofit_requirement()
+
+
+def corpus_session(count):
+    """A session holding the first ``count`` benchmark-corpus
+    requirements, integrated with the benchmarks' row counts."""
+    quarry = Quarry(
+        tpch.ontology(), tpch.schema(), tpch.mappings(), row_counts=ROW_COUNTS
+    )
+    for requirement in requirement_corpus(count):
+        quarry.add_requirement(requirement)
+    return quarry

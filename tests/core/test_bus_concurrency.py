@@ -10,14 +10,29 @@ the invariants the fix guarantees; the foreign-marker test pins the new
 rollback rejection.
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro import Quarry
 from repro.core.services.bus import ArtifactBus
+from repro.core.services.interpretation import (
+    KIND_CREATED,
+    KIND_REMOVED,
+    KIND_REPLACED,
+    TOPIC_PARTIALS,
+)
 from repro.errors import QuarryError
 from repro.repository.metadata import MetadataRepository
+from repro.sources import tpch
+
+from .conftest import (
+    build_netprofit_requirement,
+    build_quantity_requirement,
+    build_revenue_requirement,
+)
 
 THREADS = 8
 PER_THREAD = 25
@@ -131,3 +146,77 @@ def test_rollback_rejects_marker_from_reloaded_bus():
     reloaded = ArtifactBus(repository, "default")
     with pytest.raises(QuarryError, match="marker from bus"):
         reloaded.rollback(stale)
+
+
+def replayed_order(events, problems):
+    """The fold order a replay of ``events`` produces; a replacement of
+    a requirement that has no creation before it is a problem."""
+    order = {}
+    for event in events:
+        if event.topic != TOPIC_PARTIALS:
+            continue
+        requirement_id = event.payload["requirement"]
+        if event.kind == KIND_CREATED:
+            order.pop(requirement_id, None)
+            order[requirement_id] = event
+        elif event.kind == KIND_REPLACED and requirement_id not in order:
+            problems.append(f"{event!r} replaces nothing")
+        elif event.kind == KIND_REMOVED:
+            order.pop(requirement_id, None)
+    return tuple(order)
+
+
+def test_readers_see_a_log_that_replays_during_compactions():
+    quarry = Quarry(tpch.ontology(), tpch.schema(), tpch.mappings())
+    quarry.add_requirement(build_revenue_requirement())
+    quarry.add_requirement(build_netprofit_requirement())
+    committed = {tuple(quarry.integration.order())}
+    deleted = []  # the positions each compaction deleted
+    compact = quarry.bus.compact
+
+    def recording(positions):
+        kept = compact(positions)
+        deleted.append(frozenset(positions) - frozenset(kept))
+        return kept
+
+    quarry.bus.compact = recording
+    snapshots, seen, problems = set(), set(), []
+    stop = threading.Event()
+
+    def reader():
+        while not stop.is_set():
+            events = quarry.bus.events()
+            snapshots.add(frozenset(event.position for event in events))
+            seen.add(replayed_order(events, problems))
+
+    readers = [threading.Thread(target=reader) for __ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in readers:
+            thread.start()
+        names = ("Part", "Item")
+        for op in range(24):
+            if op % 4 == 1:
+                quarry.add_requirement(build_quantity_requirement())
+            elif op % 4 == 3:
+                quarry.remove_requirement("IR3")
+            else:
+                quarry.rename_concept(*names)
+                names = names[::-1]
+            committed.add(tuple(quarry.integration.order()))
+    finally:
+        stop.set()
+        for thread in readers:
+            thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in readers)
+    assert deleted and all(deleted)
+    assert problems == []
+    assert seen and seen <= committed
+    # Each compaction is atomic: a reader saw none of the events it
+    # deleted, or every one already logged when the reader looked.
+    for snapshot in snapshots:
+        for doomed in deleted:
+            logged = {position for position in doomed if position <= max(snapshot)}
+            assert not snapshot & doomed or logged <= snapshot

@@ -20,6 +20,8 @@ from repro.sources import tpch
 from benchmarks._workloads import ROW_COUNTS, requirement_corpus
 from benchmarks.run_design import run_suite
 
+from .conftest import corpus_session
+
 
 class TestBenchmarkSmoke:
     def test_tiny_suite_is_equivalence_clean(self):
@@ -29,6 +31,33 @@ class TestBenchmarkSmoke:
         assert report["design_sizes"]["4"]["results_identical"]
         assert report["ontology"]["results_identical"]
         assert report["repository"]["results_identical"]
+
+    def test_replay_gate_reports_a_replay_that_differs(self, monkeypatch):
+        from repro.etlmodel.flow import EtlFlow
+        from repro.mdmodel.model import MDSchema
+
+        monkeypatch.setattr(
+            Quarry,
+            "replay_unified_design",
+            lambda quarry: (MDSchema(name="unified"), EtlFlow(name="unified")),
+        )
+        report, mismatches = run_suite(sizes=(4,), rounds=1, headline_size=4)
+        assert not report["all_results_identical"]
+        assert not report["design_sizes"]["4"]["results_identical"]
+        assert not report["evolution"]["4"]["results_identical"]
+        assert sorted(mismatches) == sorted(
+            f"{label}: bus-log replay differs from the design"
+            for label in (
+                "N=4: add then remove",
+                "N=4: change",
+                "N=4: remove",
+                "N=4: re-add",
+                "evolve@4",
+            )
+        )
+        # The bus-log size is recorded next to the requirement count.
+        at_4 = report["design_sizes"]["4"]
+        assert at_4["requirements"] == 4 and at_4["bus_events"] > 0
 
     def test_incremental_paths_stay_sub_linear(self):
         # Counter-based, not timing-based: robust on loaded CI machines.
@@ -51,15 +80,6 @@ class TestCounterHook:
         quarry.add_requirement(corpus[4])
         assert quarry.integration_counts["md"] - before["md"] == 1
         assert quarry.integration_counts["etl"] - before["etl"] == 1
-
-
-def corpus_session(count):
-    quarry = Quarry(
-        tpch.ontology(), tpch.schema(), tpch.mappings(), row_counts=ROW_COUNTS
-    )
-    for requirement in requirement_corpus(count):
-        quarry.add_requirement(requirement)
-    return quarry
 
 
 def node_subtrees(repository, position):

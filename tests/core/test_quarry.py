@@ -171,6 +171,19 @@ REFUSALS = {
 }
 
 
+def check_refusal(quarry, monkeypatch, case):
+    """The refused change leaves everything observed as it was, and
+    the next valid one succeeds; replay reproduces the design."""
+    before = observed(quarry)
+    operation, refusal, next_operation = REFUSALS[case](quarry, monkeypatch)
+    with pytest.raises(QuarryError, match=refusal):
+        operation()
+    assert observed(quarry) == before
+    assert replayed(quarry) == designed(quarry)
+    next_operation()
+    assert replayed(quarry) == designed(quarry)
+
+
 class TestScenarioDWDesign:
     """Demo scenario 1: from requirement to initial design."""
 
@@ -251,16 +264,21 @@ class TestScenarioAccommodatingChanges:
     ):
         quarry.add_requirement(build_revenue_requirement())
         quarry.add_requirement(build_netprofit_requirement())
-        before = observed(quarry)
-        operation, refusal, next_operation = REFUSALS[case](
-            quarry, monkeypatch
-        )
-        with pytest.raises(QuarryError, match=refusal):
-            operation()
-        assert observed(quarry) == before
-        assert replayed(quarry) == designed(quarry)
-        next_operation()
-        assert replayed(quarry) == designed(quarry)
+        check_refusal(quarry, monkeypatch, case)
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_failed_change_right_after_a_compaction_changes_nothing(
+        self, quarry, monkeypatch, case
+    ):
+        quarry.add_requirement(build_revenue_requirement())
+        quarry.add_requirement(build_netprofit_requirement())
+        # Rename back and forth until a commit compacts the bus log.
+        generation = quarry.bus.marker()["generation"]
+        names = ("Part", "Item")
+        while quarry.bus.marker()["generation"] == generation:
+            quarry.rename_concept(*names)
+            names = names[::-1]
+        check_refusal(quarry, monkeypatch, case)
 
     def test_remove_requirement_rebuilds(self, quarry):
         quarry.add_requirement(build_revenue_requirement())

@@ -10,6 +10,8 @@ the legacy re-interpretation path.
 import pytest
 
 from repro import Quarry
+from repro.ontology import io as ontology_io
+from repro.ontology.model import Concept
 from repro.sources import tpch
 from repro.xformats import xlm, xmd
 
@@ -135,3 +137,91 @@ class TestLegacyStores:
             quarry.unified_design()[0]
         )
         assert [r.id for r in resumed.requirements()] == ["IR1", "IR2"]
+
+
+def demo_session(ontology=None, mappings=None):
+    quarry = Quarry(
+        ontology or tpch.ontology(), tpch.schema(), mappings or tpch.mappings()
+    )
+    for requirement in (
+        build_revenue_requirement(),
+        build_netprofit_requirement(),
+        build_quantity_requirement(),
+    ):
+        quarry.add_requirement(requirement)
+    return quarry
+
+
+def design_text(quarry):
+    md, etl = quarry.unified_design()
+    return xmd.dumps(md), xlm.dumps(etl), quarry.integration.order()
+
+
+class TestEvolvedDomain:
+    def test_reloaded_session_evolves_the_stored_domain(self, tmp_path):
+        quarry = demo_session()
+        quarry.rename_concept("Supplier", "Vendor")
+        assert quarry.repository.load_ontology("tpch").has_concept("Vendor")
+        renamed = tpch.mappings().rename_concept("Supplier", "Vendor")
+        stored = quarry.repository.load_mappings("tpch")
+        assert stored.snapshot() == renamed.snapshot()
+        path = tmp_path / "store.json"
+        quarry.save_to(path)
+        # The caller's base mappings serve only stores that hold none.
+        resumed = reload(path)
+        assert resumed.integration_counts == {"md": 0, "etl": 0}
+        resumed.rename_concept("Vendor", "Seller")
+        ontology, mappings = tpch.ontology(), tpch.mappings()
+        ontology.rename_concept("Supplier", "Seller")
+        mappings.rename_concept("Supplier", "Seller")
+        assert design_text(resumed) == design_text(
+            demo_session(ontology, mappings)
+        )
+
+    @pytest.mark.parametrize("operator", ["rename", "merge"])
+    def test_hierarchical_domain_survives_the_trip(self, tmp_path, operator):
+        # Unmapped concepts around TPC-H's flat hierarchy: a child of
+        # Supplier, and a parent Group with a child declared before
+        # the concept it is merged into.
+        ontology = tpch.ontology()
+        for concept in (
+            Concept(id="PreferredSupplier", parent="Supplier"),
+            Concept(id="Group"),
+            Concept(id="Subgroup", parent="Group"),
+            Concept(id="Segment"),
+        ):
+            ontology.add_concept(concept)
+        quarry = demo_session(ontology)
+        if operator == "rename":
+            quarry.rename_concept("Supplier", "Vendor")
+            child, parent = "PreferredSupplier", "Vendor"
+        else:
+            quarry.merge_concepts("Group", "Segment")
+            child, parent = "Subgroup", "Segment"
+        path = tmp_path / "store.json"
+        quarry.save_to(path)
+        resumed = reload(path)
+        assert resumed.elicitor().ontology.concept(child).parent == parent
+        assert ontology_io.dumps(resumed.elicitor().ontology) == (
+            ontology_io.dumps(ontology)
+        )
+        assert resumed.integration_counts == {"md": 0, "etl": 0}
+        assert design_text(resumed) == design_text(quarry)
+
+    def test_operator_stores_mappings_only_when_it_changes_them(self):
+        quarry = demo_session()
+        quarry.retype_property("Customer_c_acctbal", "integer")
+        stored = quarry.repository.load_ontology("tpch")
+        assert stored.datatype_property("Customer_c_acctbal").range.value == (
+            "integer"
+        )
+        assert quarry.repository.load_mappings("tpch") is None
+        quarry.rename_concept("Supplier", "Vendor")
+        assert quarry.repository.load_mappings("tpch").has_concept_mapping(
+            "Vendor"
+        )
+
+    def test_unevolved_store_holds_no_mappings(self, saved_store):
+        quarry, __ = saved_store
+        assert quarry.repository.load_mappings("tpch") is None
+        assert "mappings" not in quarry.repository.store

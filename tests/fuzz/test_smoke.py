@@ -12,10 +12,15 @@ from pathlib import Path
 import pytest
 
 from repro.fuzz import corpus
-from repro.fuzz.evolveoracle import build_evolve_trial
+from repro.fuzz.evolveoracle import (
+    EvolveTrial,
+    build_evolve_trial,
+    check_evolve_trial,
+)
 from repro.fuzz.flowgen import build_flow_trial
 from repro.fuzz.querygen import build_query_trial
 from repro.fuzz.runner import run
+from repro.repository import MetadataRepository
 from repro.xformats import xlm
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -89,3 +94,27 @@ def test_retired_parallel_kind_is_rejected(kind):
         ValueError, match=f"unknown corpus entry kind '{kind}'"
     ):
         corpus.replay(entry)
+
+
+def test_evolve_oracle_resumes_over_the_stored_domain(monkeypatch):
+    """A retype of an attribute no requirement reads leaves the design
+    as it was, so only the resumed ontology can show that the evolved
+    domain was not stored."""
+    trial = EvolveTrial(
+        policies={},
+        script=[
+            {"op": "add", "id": "IR1", "requirement": "revenue"},
+            {"op": "retype", "property": "Customer_c_acctbal", "type": "integer"},
+        ],
+        seed=None,
+    )
+    assert check_evolve_trial(trial) is None
+    save = MetadataRepository.save_ontology
+
+    def save_only_the_first(repository, ontology):
+        if not repository.ontology_names():
+            return save(repository, ontology)
+        return ontology.name
+
+    monkeypatch.setattr(MetadataRepository, "save_ontology", save_only_the_first)
+    assert check_evolve_trial(trial).startswith("evolve-resume-divergence:")

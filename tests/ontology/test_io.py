@@ -6,6 +6,7 @@ from repro.errors import OntologyParseError
 from repro.expressions import ScalarType
 from repro.ontology import Multiplicity, OntologyBuilder
 from repro.ontology import io as ontology_io
+from repro.ontology.model import Concept
 
 
 @pytest.fixture
@@ -49,6 +50,28 @@ class TestRoundTrip:
     def test_quotes_in_descriptions_survive(self, shop):
         parsed = ontology_io.loads(ontology_io.dumps(shop))
         assert parsed.description == 'toy "retail" domain'
+
+    def test_renamed_parent_is_written_before_its_children(self, shop):
+        shop.add_concept(Concept(id="Gadget", parent="Product"))
+        # The rename moves Item behind its child Product.
+        shop.rename_concept("Item", "Article")
+        text = ontology_io.dumps(shop)
+        parsed = ontology_io.loads(text)
+        assert parsed.concept("Product").parent == "Article"
+        assert parsed.concept("Gadget").parent == "Product"
+        assert parsed.concept("Article") == shop.concept("Article")
+        assert ontology_io.dumps(parsed) == text
+
+    def test_merge_target_is_written_before_reparented_children(self, shop):
+        # What merge_concepts("Item", "Sale") does to Item's child:
+        # Product now hangs off Sale, which is declared after it.
+        shop.replace_concept(Concept(id="Product", parent="Sale"))
+        shop.remove_concept("Item")
+        text = ontology_io.dumps(shop)
+        parsed = ontology_io.loads(text)
+        assert parsed.concept("Product").parent == "Sale"
+        assert parsed.size() == shop.size()
+        assert ontology_io.dumps(parsed) == text
 
 
 class TestParsing:

@@ -84,6 +84,20 @@ class TestOntologiesAndDeployments:
         assert loaded.size() == ontology.size()
         assert repo.ontology_names() == ["tpch"]
 
+    def test_mappings_roundtrip(self, repo, tmp_path):
+        assert repo.load_mappings("tpch") is None
+        # Reading creates no collection, so the saved store is unchanged.
+        assert "mappings" not in repo.store
+        mappings = tpch.mappings()
+        mappings.rename_concept("Supplier", "Vendor")
+        assert repo.save_mappings(mappings) == "tpch"
+        path = tmp_path / "metadata.json"
+        repo.save_to(path)
+        loaded = MetadataRepository.load_from(path).load_mappings("tpch")
+        assert loaded.snapshot() == mappings.snapshot()
+        assert (loaded.ontology_name, loaded.source_name) == ("tpch", "tpch")
+        assert loaded.table_of("Vendor") == "supplier"
+
     def test_deployment_records(self, repo):
         repo.record_deployment("v1", "postgres", {"ddl": "CREATE ..."})
         repo.record_deployment("v1", "pdi", {"ktr": "<transformation/>"})
