@@ -3,7 +3,9 @@
 Runs the TPC-H executor workloads (the S1 revenue flow and the S2
 integrated/partial flows built from ``benchmarks/_workloads.py``) at
 several scale factors in BOTH executor modes, plus the A1-equivalence
-micro-workload, and writes ``BENCH_engine.json`` with both timings.
+micro-workload, and writes ``BENCH_engine.json`` with both timings as
+the median and quartiles of the rounds; for ``s2_integrated`` it adds
+each node kind's milliseconds, read from the executor's ``NodeStats``.
 An ingest section times the database's write path: ``load_source`` of
 every TPC-H source and a ``lineitem`` reload, in rows/s as median and
 IQR over the rounds.
@@ -31,6 +33,7 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import defaultdict
 
 try:
     import repro  # noqa: F401  (needs PYTHONPATH=src or an install)
@@ -53,30 +56,56 @@ from benchmarks.bench_s2_integration_etl import build_flows
 from benchmarks.conftest import make_database
 
 SCALE_FACTORS = (0.25, 0.5, 1.0, 2.0)
-ROUNDS = 5
+ROUNDS = 7
+
+
+def spread(values):
+    """Median and quartiles of the rounds' values."""
+    if len(values) > 1:
+        q1, __, q3 = statistics.quantiles(values, n=4)
+    else:
+        q1 = q3 = values[0]
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
 def time_flows(database, flows, mode):
-    """Best-of-rounds wall-clock of executing ``flows`` in ``mode``.
+    """Wall-clock of executing ``flows`` in ``mode``, once per round.
 
-    Returns (seconds, snapshot of every loaded table, merged over the
-    flows).  The flows' loaders run in replace mode, so repeated rounds
-    are idempotent; one warmup round removes one-time costs
-    (parse/compile caches, columnar scan pivots) from the measurement.
+    Returns (each round's seconds, each round's seconds per node kind,
+    snapshot of every loaded table, merged over the flows).  The flows'
+    loaders run in replace mode, so repeated rounds are idempotent; one
+    warmup round removes one-time costs (parse/compile caches) from the
+    measurement.
     """
     executor = Executor(database, mode=mode)
     for flow in flows:  # warmup
         executor.execute(flow)
-    best = float("inf")
+    seconds, by_kind = [], []
     for __ in range(ROUNDS):
         started = time.perf_counter()
-        for flow in flows:
-            executor.execute(flow)
-        best = min(best, time.perf_counter() - started)
+        runs = [executor.execute(flow) for flow in flows]
+        seconds.append(time.perf_counter() - started)
+        kinds = defaultdict(float)
+        for run in runs:
+            for node in run.nodes:
+                kinds[node.kind] += node.seconds
+        by_kind.append(kinds)
     snapshot = {}
     for flow in flows:
         snapshot.update(loaded_rows(database, flow))
-    return best, snapshot
+    return seconds, by_kind, snapshot
+
+
+def node_ms(by_kind):
+    """Each node kind's median milliseconds over the rounds, largest first."""
+    kinds = {kind for kinds in by_kind for kind in kinds}
+    medians = {
+        kind: 1000 * statistics.median(
+            kinds.get(kind, 0.0) for kinds in by_kind
+        )
+        for kind in kinds
+    }
+    return dict(sorted(medians.items(), key=lambda item: -item[1]))
 
 
 def compare_snapshots(name, snapshots, mismatches):
@@ -98,25 +127,33 @@ def run_tpch_workloads(mismatches):
         database = make_database(scale_factor)
         per_workload = {}
         for name, flows in workloads.items():
-            timings, snapshots = {}, {}
+            timings, kinds, snapshots = {}, {}, {}
             for mode in MODES:
-                timings[mode], snapshots[mode] = time_flows(
+                seconds, kinds[mode], snapshots[mode] = time_flows(
                     database, flows, mode
                 )
+                timings[mode] = spread([second * 1000 for second in seconds])
             compare_snapshots(f"SF {scale_factor} {name}", snapshots, mismatches)
+            legacy, columnar = timings["legacy"], timings["columnar"]
             per_workload[name] = {
-                "legacy_seconds": timings["legacy"],
-                "columnar_seconds": timings["columnar"],
-                "speedup": timings["legacy"] / timings["columnar"],
+                "legacy_ms": legacy,
+                "columnar_ms": columnar,
+                "speedup": legacy["median"] / columnar["median"],
                 "results_identical": not any(
                     m.startswith(f"SF {scale_factor} {name}")
                     for m in mismatches
                 ),
             }
+            if name == "s2_integrated":
+                per_workload[name]["node_ms"] = {
+                    mode: node_ms(kinds[mode]) for mode in MODES
+                }
             print(
                 f"  SF {scale_factor:<5} {name:<14} "
-                f"legacy {timings['legacy'] * 1000:8.1f}ms  "
-                f"columnar {timings['columnar'] * 1000:8.1f}ms  "
+                f"legacy {legacy['median']:8.1f}ms "
+                f"[{legacy['q1']:.1f}-{legacy['q3']:.1f}]  "
+                f"columnar {columnar['median']:8.1f}ms "
+                f"[{columnar['q1']:.1f}-{columnar['q3']:.1f}]  "
                 f"speedup {per_workload[name]['speedup']:.2f}x"
             )
         results[str(scale_factor)] = per_workload
@@ -125,12 +162,7 @@ def run_tpch_workloads(mismatches):
 
 def rows_per_second(rows, seconds):
     """Median and quartiles of ``rows / s`` over the rounds' seconds."""
-    rates = [rows / elapsed for elapsed in seconds]
-    if len(rates) > 1:
-        q1, __, q3 = statistics.quantiles(rates, n=4)
-    else:
-        q1 = q3 = rates[0]
-    return {"median": statistics.median(rates), "q1": q1, "q3": q3}
+    return spread([rows / elapsed for elapsed in seconds])
 
 
 def check_loaded(label, database, data, mismatches):
@@ -287,7 +319,10 @@ def main(argv=None) -> int:
         "benchmark": "engine-core: legacy row interpreter vs compiled columnar",
         "modes": list(MODES),
         "rounds": ROUNDS,
-        "timing": "best of rounds, after one warmup execution",
+        "timing": (
+            "ms, median and quartiles over rounds, after one warmup "
+            "execution; node_ms: each node kind's median ms"
+        ),
         "scale_factors": by_scale_factor,
         "a1_equivalence": a1,
         "ingest": ingest,

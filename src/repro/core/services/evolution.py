@@ -360,6 +360,8 @@ class EvolutionService:
         self._repository.save_ontology(self._ontology)
         if self._mappings.snapshot() != snapshot[1]:  # a retype leaves them
             self._repository.save_mappings(self._mappings)
+        if policies != snapshot[2]:
+            self._repository.save_scd_policies(self._ontology.name, policies)
         return EvolutionReport(
             operator=operator,
             detail=dict(detail),

@@ -111,6 +111,10 @@ class DesignSession:
             align_etl=align_etl,
             row_counts=row_counts,
         )
+        if scd_policies:
+            self._repository.save_scd_policies(
+                ontology.name, self._interpretation.interpreter.scd_policies
+            )
         self._deployment = DeploymentService(
             ontology, schema, self._repository, self._bus
         )
@@ -385,8 +389,10 @@ class DesignSession:
         """Resume a design session from a persisted repository.
 
         The ontology is read back from the repository, and so are its
-        mappings once an evolution operator has stored them; the
-        ``mappings`` argument serves stores that hold none.  Stores
+        mappings once an evolution operator has stored them, and its SCD
+        policies once a session created with any (or an operator that
+        changed them) has stored them; the ``mappings`` and
+        ``scd_policies`` arguments serve stores that hold none.  Stores
         written by this version carry the full fold state (partial
         designs, checkpoints, insertion order), which is restored
         directly — zero integration calls, so later changes stay
@@ -400,6 +406,9 @@ class DesignSession:
             raise QuarryError("repository holds no ontology")
         ontology = scoped.load_ontology(ontology_names[0])
         stored_mappings = scoped.load_mappings(ontology.name)
+        stored_policies = scoped.load_scd_policies(ontology.name)
+        if stored_policies is not None:
+            kwargs["scd_policies"] = stored_policies
         resumed = cls(
             ontology,
             schema,

@@ -14,6 +14,10 @@ of one dict per row.  That buys the executor:
   duplicate-free right side, or a LEFT join on one), the output shares
   the left input's column lists and gathers only the payload,
 * **hash aggregation** directly on column arrays (:func:`hash_aggregate`),
+  numbering groups and bucketing values with C-level ``map``,
+* an optional per-execution **memo** (:func:`memoised`) that runs each
+  distinct index build, probe and gather once, keyed on the identity of
+  the lists it reads,
 * cheap evaluation of compiled expressions with
   ``map(column_fn, *columns)`` — no per-row dict in the hot path.
 
@@ -38,6 +42,9 @@ bit-identical to the legacy row interpreter.
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
+from itertools import compress, count, repeat
+from operator import is_not, itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import EngineError, ExecutionError
@@ -81,6 +88,47 @@ def _key_iter(columns: Sequence[list], length: int):
 #: A right side hashed for probing: ``(unique, duplicates)``, see
 #: :func:`_join_index`.
 JoinIndex = Tuple[Dict[object, int], Dict[object, List[int]]]
+
+#: One execution's memo: a key naming its source lists by ``id`` maps to
+#: ``(result, sources)``.  Holding the sources keeps every ``id`` in a
+#: live key from being reused.
+Memo = Dict[tuple, tuple]
+
+
+def memoised(memo: Optional[Memo], key: tuple, sources, compute):
+    """``compute()``, run once per ``key`` while ``memo`` lives.
+
+    ``key`` names ``sources`` by identity, which is sound because no
+    list a relation holds is mutated once built.  With no memo (a kernel
+    called outside an execution) it just computes.
+    """
+    if memo is None:
+        return compute()
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = (compute(), sources)
+    return entry[0]
+
+
+def gather(
+    column: list,
+    positions: List[int],
+    memo: Optional[Memo] = None,
+    outer: bool = False,
+) -> list:
+    """``column`` at ``positions``; with ``outer`` a position of ``-1``
+    (a LEFT join's unmatched row) reads NULL."""
+
+    def compute() -> list:
+        source = column + [None] if outer else column
+        return [source[position] for position in positions]
+
+    return memoised(
+        memo,
+        ("gather", id(column), id(positions), outer),
+        (column, positions),
+        compute,
+    )
 
 
 class ColumnarRelation:
@@ -183,12 +231,14 @@ class ColumnarRelation:
 
     # -- batch operators ---------------------------------------------------
 
-    def take(self, indices: List[int]) -> "ColumnarRelation":
+    def take(
+        self, indices: List[int], memo: Optional[Memo] = None
+    ) -> "ColumnarRelation":
         """Rows at the given positions, in the given order."""
         return ColumnarRelation(
             schema=dict(self.schema),
             columns={
-                name: [column[i] for i in indices]
+                name: gather(column, indices, memo)
                 for name, column in self.columns.items()
             },
             length=len(indices),
@@ -247,14 +297,17 @@ def _join_keys(columns: Sequence[list], length: int) -> Sequence:
     """Each row's equi-join key, ``None`` where a key part is NULL.
 
     One key column is used as is, with no tuple packing; several are
-    zipped into tuples; none gives every row the key ``()``, so a
-    keyless join is a cross product.  ``None in key`` finds the NULL
-    parts: no value the engine stores compares equal to ``None``.
+    zipped into tuples, in C when no column holds a NULL; none gives
+    every row the key ``()``, so a keyless join is a cross product.
+    ``None in key`` finds the NULL parts: no value the engine stores
+    compares equal to ``None``.
     """
     if len(columns) == 1:
         return columns[0]
     if not columns:
         return [()] * length
+    if not any(None in column for column in columns):
+        return list(zip(*columns))
     return [None if None in key else key for key in zip(*columns)]
 
 
@@ -333,6 +386,7 @@ def hash_join(
     payload: List[str],
     schema: Dict[str, ScalarType],
     left_outer: bool = False,
+    memo: Optional[Memo] = None,
 ) -> ColumnarRelation:
     """Equi-join over column arrays: build, probe and gather.
 
@@ -344,40 +398,69 @@ def hash_join(
     every left row once, in order, the output shares the left
     relation's column lists (as :meth:`ColumnarRelation.project` does)
     and gathers only the payload.
+
+    With a ``memo``, the index is keyed on the right key columns, the
+    probe on both sides' key columns and the join type, and each gather
+    on its column and positions, all by identity.  A repeated join so
+    returns the first one's lists, and a join keyed on them hits too.
     """
+    left_key_columns = [left.columns[key] for key in left_keys]
+    right_key_columns = [right.columns[key] for key in right_keys]
+    # The lengths name a keyless join's keys, which no column holds.
+    left_id = (left.length, *map(id, left_key_columns))
+    right_id = (right.length, *map(id, right_key_columns))
+    index_key = ("index", right_id)
     try:
-        index = _join_index(
-            [right.columns[key] for key in right_keys], right.length
+        index = memoised(
+            memo,
+            index_key,
+            right_key_columns,
+            lambda: _join_index(right_key_columns, right.length),
         )
-        left_take, right_take = _join_probe(
-            index,
-            _join_keys([left.columns[key] for key in left_keys], left.length),
-            left_outer,
+        left_take, right_take = memoised(
+            memo,
+            ("probe", left_id, right_id, left_outer),
+            (left_key_columns, right_key_columns),
+            lambda: _join_probe(
+                index, _join_keys(left_key_columns, left.length), left_outer
+            ),
         )
     except TypeError as exc:
-        named = [(key, left.columns[key]) for key in left_keys]
-        named += [(key, right.columns[key]) for key in right_keys]
+        if memo is not None:
+            memo.pop(index_key, None)  # an unhashable key memoises nothing
+        named = list(zip(left_keys, left_key_columns))
+        named += zip(right_keys, right_key_columns)
         raise unhashable_key_error("join", named, exc) from exc
 
     if left_take is None:
         columns = dict(left.columns)
     else:
         columns = {
-            name: [column[i] for i in left_take]
+            name: gather(column, left_take, memo)
             for name, column in left.columns.items()
         }
-    has_outer_slots = left_outer and -1 in right_take
+    outer = left_outer and -1 in right_take
     for name in payload:
-        column = right.columns[name]
-        if has_outer_slots:
-            columns[name] = [
-                column[j] if j >= 0 else None for j in right_take
-            ]
-        else:
-            columns[name] = [column[j] for j in right_take]
+        columns[name] = gather(right.columns[name], right_take, memo, outer)
     return ColumnarRelation(
         schema=schema, columns=columns, length=len(right_take)
     )
+
+
+def _number_groups(
+    columns: Sequence[list], length: int, first: int = 0
+) -> Tuple[List[int], Dict[object, int]]:
+    """Each row's group number, counting from ``first`` in first-seen
+    order, and the groups' first keys in that order (raw values for one
+    column, tuples for several, ``()`` for none).
+
+    ``defaultdict(count().__next__)`` mapped over the keys numbers them
+    in C.  A ``TypeError`` on an unhashable key propagates for the
+    caller to wrap.
+    """
+    groups: Dict[object, int] = defaultdict(count(first).__next__)
+    keys = columns[0] if len(columns) == 1 else _key_iter(columns, length)
+    return list(map(groups.__getitem__, keys)), groups
 
 
 def hash_aggregate(
@@ -390,46 +473,49 @@ def hash_aggregate(
 
     Groups appear in first-seen order (matching dict insertion order of
     the row implementation); a global aggregate (empty ``group_by``)
-    always yields exactly one row.
+    always yields exactly one row.  Each aggregate's input is bucketed
+    by group number with ``map`` over ``list.append``, keeping row
+    order within a group, and its NULLs are dropped first when it holds
+    any; no Python code runs per row.
     """
+    columns: Dict[str, list] = {}
     if group_by:
         group_columns = [relation.columns[name] for name in group_by]
-        group_of: Dict[tuple, int] = {}
-        keys_in_order: List[tuple] = []
-        members: List[List[int]] = []
         try:
-            for position, key in enumerate(
-                _key_iter(group_columns, relation.length)
-            ):
-                slot = group_of.get(key)
-                if slot is None:
-                    group_of[key] = slot = len(members)
-                    keys_in_order.append(key)
-                    members.append([])
-                members[slot].append(position)
+            slots, groups = _number_groups(group_columns, relation.length)
         except TypeError as exc:
             raise unhashable_key_error(
                 "aggregate", zip(group_by, group_columns), exc
             ) from exc
+        if len(group_by) == 1:
+            columns[group_by[0]] = list(groups)
+        else:
+            for key_position, name in enumerate(group_by):
+                columns[name] = list(map(itemgetter(key_position), groups))
+        group_count = len(groups)
     else:
-        keys_in_order = [()]
-        members = [list(range(relation.length))]
+        slots, group_count = None, 1
 
-    columns: Dict[str, list] = {}
-    for key_position, name in enumerate(group_by):
-        columns[name] = [key[key_position] for key in keys_in_order]
     for spec in aggregates:
-        source = relation.columns[spec.input]
-        columns[spec.output] = [
-            aggregate_values(
-                spec.function,
-                [source[i] for i in group if source[i] is not None],
+        values = relation.columns[spec.input]
+        value_slots = slots
+        if None in values:
+            present = list(map(is_not, values, repeat(None)))
+            values = list(compress(values, present))
+            if slots is not None:
+                value_slots = list(compress(slots, present))
+        if slots is None:
+            buckets = [values]
+        else:
+            buckets = [[] for __ in range(group_count)]
+            appends = map(
+                list.append, map(buckets.__getitem__, value_slots), values
             )
-            for group in members
+            deque(appends, maxlen=0)  # runs the appends
+        columns[spec.output] = [
+            aggregate_values(spec.function, bucket) for bucket in buckets
         ]
-    return ColumnarRelation(
-        schema=schema, columns=columns, length=len(keys_in_order)
-    )
+    return ColumnarRelation(schema=schema, columns=columns, length=group_count)
 
 
 def surrogate_keys(
@@ -437,19 +523,12 @@ def surrogate_keys(
 ) -> List[int]:
     """Dense surrogate key per row, stable across repeated business keys."""
     key_columns = [relation.columns[name] for name in business_keys]
-    assigned: Dict[tuple, int] = {}
-    output: List[int] = []
     try:
-        for key in _key_iter(key_columns, relation.length):
-            surrogate = assigned.get(key)
-            if surrogate is None:
-                assigned[key] = surrogate = len(assigned) + 1
-            output.append(surrogate)
+        return _number_groups(key_columns, relation.length, first=1)[0]
     except TypeError as exc:
         raise unhashable_key_error(
             "surrogate-key", zip(business_keys, key_columns), exc
         ) from exc
-    return output
 
 
 def aggregate_values(function: str, values: list):

@@ -20,6 +20,13 @@ Structural bookkeeping is shared and cheap: the topological order is
 computed once per ``execute()``, every node runs through its own kernel
 and gets one :class:`NodeStats`, and intermediate results are released
 by a per-node consumer countdown (O(V+E) overall, not O(n²)).
+
+Each ``execute()`` call also owns one memo (a local dict, see
+:func:`repro.engine.columnar.memoised`): the columnar kernels key join
+indexes, probes, Selection keep vectors and gathers on the identity of
+the column lists they read, so a join or filter that an integrated
+flow repeats in another branch runs once and hands back the same lists.
+The memo dies with the call.
 """
 
 from __future__ import annotations
@@ -31,9 +38,11 @@ from typing import Callable, Dict, List, Optional
 from repro.errors import ExecutionError
 from repro.engine.columnar import (
     ColumnarRelation,
+    Memo,
     aggregate_values,
     hash_aggregate,
     hash_join,
+    memoised,
     surrogate_keys,
     unhashable_key_error,
 )
@@ -169,6 +178,7 @@ class Executor:
         # Consumer countdown: an intermediate is dropped as soon as its
         # last consumer has run (O(V+E) over the whole execution).
         consumers_left = {name: len(flow.outputs(name)) for name in order}
+        memo: Memo = {}
         started = time.perf_counter()
         for name in order:
             operation = flow.node(name)
@@ -180,7 +190,7 @@ class Executor:
                 )
             node_started = time.perf_counter()
             try:
-                result = method(operation, inputs, stats)
+                result = method(operation, inputs, stats, memo)
             except ExecutionError:
                 raise
             except Exception as exc:
@@ -211,26 +221,26 @@ class Executor:
     # -- operators with one kernel for both modes ---------------------------
     # (Relation and ColumnarRelation both provide the method called)
 
-    def _project(self, operation, inputs, stats):
+    def _project(self, operation, inputs, stats, memo):
         return inputs[0].project(list(operation.columns))
 
-    def _sort(self, operation: Sort, inputs, stats):
+    def _sort(self, operation: Sort, inputs, stats, memo):
         return inputs[0].sorted_by(
             list(operation.keys), descending=operation.descending
         )
 
-    def _distinct(self, operation, inputs, stats):
+    def _distinct(self, operation, inputs, stats, memo):
         return inputs[0].distinct()
 
     # -- columnar operators -------------------------------------------------
 
-    def _scan_columnar(self, operation: Datastore, inputs, stats):
+    def _scan_columnar(self, operation: Datastore, inputs, stats, memo):
         relation = self._database.scan_columns(operation.table)
         if operation.columns:
             return relation.project(list(operation.columns))
         return relation
 
-    def _filter_columnar(self, operation: Selection, inputs, stats):
+    def _filter_columnar(self, operation: Selection, inputs, stats, memo):
         relation: ColumnarRelation = inputs[0]
         compiled = compile_expression(operation.predicate)
         columns = _argument_columns(compiled, relation)
@@ -248,16 +258,23 @@ class Executor:
             keep_all = compiled.column_fn() is True
             return relation if keep_all else relation.take([])
         function = compiled.column_fn
-        keep = [
-            index
-            for index, value in enumerate(map(function, *columns))
-            if value is True
-        ]
+        keep = memoised(
+            memo,
+            ("keep", compiled.text, *map(id, columns)),
+            columns,
+            lambda: [
+                index
+                for index, value in enumerate(map(function, *columns))
+                if value is True
+            ],
+        )
         if len(keep) == relation.length:
             return relation
-        return relation.take(keep)
+        return relation.take(keep, memo)
 
-    def _derive_columnar(self, operation: DerivedAttribute, inputs, stats):
+    def _derive_columnar(
+        self, operation: DerivedAttribute, inputs, stats, memo
+    ):
         from repro.etlmodel.propagation import _derive_schema
 
         relation: ColumnarRelation = inputs[0]
@@ -278,14 +295,16 @@ class Executor:
                 else []
             )
         else:
-            derived = list(map(compiled.column_fn, *columns))
+            derived = compiled.batch_fn(columns)
+            if derived is None:
+                derived = list(map(compiled.column_fn, *columns))
         new_columns = dict(relation.columns)
         new_columns[operation.output] = derived
         return ColumnarRelation(
             schema=schema, columns=new_columns, length=relation.length
         )
 
-    def _join_columnar(self, operation: Join, inputs, stats):
+    def _join_columnar(self, operation: Join, inputs, stats, memo):
         left, right = inputs
         schema, payload = _join_schema(operation, left.schema, right.schema)
         return hash_join(
@@ -296,9 +315,10 @@ class Executor:
             payload,
             schema,
             left_outer=operation.join_type == JoinType.LEFT,
+            memo=memo,
         )
 
-    def _aggregate_columnar(self, operation: Aggregation, inputs, stats):
+    def _aggregate_columnar(self, operation: Aggregation, inputs, stats, memo):
         from repro.etlmodel.propagation import _aggregation_schema
 
         relation: ColumnarRelation = inputs[0]
@@ -307,16 +327,18 @@ class Executor:
             relation, operation.group_by, operation.aggregates, schema
         )
 
-    def _rename_columnar(self, operation: Rename, inputs, stats):
+    def _rename_columnar(self, operation: Rename, inputs, stats, memo):
         return inputs[0].rename_columns(operation.mapping())
 
-    def _union_columnar(self, operation, inputs, stats):
+    def _union_columnar(self, operation, inputs, stats, memo):
         left, right = inputs
         if list(left.schema.items()) != list(right.schema.items()):
             raise ExecutionError("union inputs are not union-compatible")
         return left.concat(right)
 
-    def _surrogate_columnar(self, operation: SurrogateKey, inputs, stats):
+    def _surrogate_columnar(
+        self, operation: SurrogateKey, inputs, stats, memo
+    ):
         relation: ColumnarRelation = inputs[0]
         schema = {operation.output: ScalarType.INTEGER}
         schema.update(relation.schema)
@@ -330,12 +352,12 @@ class Executor:
             schema=schema, columns=columns, length=relation.length
         )
 
-    def _scd_columnar(self, operation: SCDUpdate, inputs, stats):
+    def _scd_columnar(self, operation: SCDUpdate, inputs, stats, memo):
         relation: ColumnarRelation = inputs[0]
         schema, rows = self._scd_rows(operation, relation.schema, relation.rows)
         return ColumnarRelation.from_rows(schema, rows)
 
-    def _load_columnar(self, operation: Loader, inputs, stats):
+    def _load_columnar(self, operation: Loader, inputs, stats, memo):
         relation: ColumnarRelation = inputs[0]
         self._prepare_target(operation, relation.schema)
         loaded = self._database.insert_columns(
@@ -348,14 +370,14 @@ class Executor:
 
     # -- legacy row-at-a-time operators (the reference interpreter) ---------
 
-    def _scan_legacy(self, operation: Datastore, inputs, stats):
+    def _scan_legacy(self, operation: Datastore, inputs, stats, memo):
         # Project before building row dicts: a scan builds them anew.
         relation = self._database.scan_columns(operation.table)
         if operation.columns:
             relation = relation.project(list(operation.columns))
         return relation.to_relation()
 
-    def _filter_legacy(self, operation: Selection, inputs, stats):
+    def _filter_legacy(self, operation: Selection, inputs, stats, memo):
         relation: Relation = inputs[0]
         predicate = parse(operation.predicate)
         rows = [
@@ -363,7 +385,7 @@ class Executor:
         ]
         return Relation(schema=dict(relation.schema), rows=rows)
 
-    def _join_legacy(self, operation: Join, inputs, stats):
+    def _join_legacy(self, operation: Join, inputs, stats, memo):
         left, right = inputs
         schema, right_payload = _join_schema(
             operation, left.schema, right.schema
@@ -403,7 +425,7 @@ class Executor:
             raise unhashable_key_error("join", named, exc) from exc
         return Relation(schema=schema, rows=rows)
 
-    def _aggregate_legacy(self, operation: Aggregation, inputs, stats):
+    def _aggregate_legacy(self, operation: Aggregation, inputs, stats, memo):
         from repro.etlmodel.propagation import _aggregation_schema
 
         relation: Relation = inputs[0]
@@ -435,7 +457,7 @@ class Executor:
             rows.append(out)
         return Relation(schema=schema, rows=rows)
 
-    def _derive_legacy(self, operation: DerivedAttribute, inputs, stats):
+    def _derive_legacy(self, operation: DerivedAttribute, inputs, stats, memo):
         from repro.etlmodel.propagation import _derive_schema
 
         relation: Relation = inputs[0]
@@ -448,7 +470,7 @@ class Executor:
             rows.append(out)
         return Relation(schema=schema, rows=rows)
 
-    def _rename_legacy(self, operation: Rename, inputs, stats):
+    def _rename_legacy(self, operation: Rename, inputs, stats, memo):
         relation: Relation = inputs[0]
         mapping = operation.mapping()
         schema = {
@@ -461,7 +483,7 @@ class Executor:
         ]
         return Relation(schema=schema, rows=rows)
 
-    def _union_legacy(self, operation, inputs, stats):
+    def _union_legacy(self, operation, inputs, stats, memo):
         left, right = inputs
         if list(left.schema.items()) != list(right.schema.items()):
             raise ExecutionError("union inputs are not union-compatible")
@@ -469,7 +491,7 @@ class Executor:
             schema=dict(left.schema), rows=list(left.rows) + list(right.rows)
         )
 
-    def _surrogate_legacy(self, operation: SurrogateKey, inputs, stats):
+    def _surrogate_legacy(self, operation: SurrogateKey, inputs, stats, memo):
         relation: Relation = inputs[0]
         schema = {operation.output: ScalarType.INTEGER}
         schema.update(relation.schema)
@@ -493,12 +515,12 @@ class Executor:
             raise unhashable_key_error("surrogate-key", named, exc) from exc
         return Relation(schema=schema, rows=rows)
 
-    def _scd_legacy(self, operation: SCDUpdate, inputs, stats):
+    def _scd_legacy(self, operation: SCDUpdate, inputs, stats, memo):
         relation: Relation = inputs[0]
         schema, rows = self._scd_rows(operation, relation.schema, relation.rows)
         return Relation(schema=schema, rows=rows)
 
-    def _load_legacy(self, operation: Loader, inputs, stats):
+    def _load_legacy(self, operation: Loader, inputs, stats, memo):
         relation: Relation = inputs[0]
         self._prepare_target(operation, relation.schema)
         loaded = self._database.insert_many(operation.table, relation.rows)

@@ -20,6 +20,16 @@ Every expression is compiled in two forms:
   columnar engine evaluate a whole column batch with
   ``map(column_fn, *columns)`` — no per-row dicts at all.
 
+A third form, ``batch_fn(columns)``, takes the argument columns
+themselves.  A bare attribute returns its column.  Numeric arithmetic
+(``+ - * / %`` over attributes and int/float literals) runs a whole
+column at a time through :mod:`operator` functions and ``map``, but
+only when every argument column holds only ``int``/``float`` values and
+no divisor holds a zero: there it computes what ``column_fn`` computes
+row by row.  Anything else, a failed guard or an ``ArithmeticError``
+returns ``None``, and the caller falls back to ``column_fn``, whose
+values, types and errors are the interpreter's.
+
 A module-level LRU cache keyed by source text means repeated predicates
 and derivations — across nodes, flows and runs — are parsed and
 compiled exactly once.
@@ -27,9 +37,11 @@ compiled exactly once.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Tuple
+from itertools import repeat
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import EvaluationError
 from repro.expressions import ast
@@ -53,7 +65,7 @@ _INLINE_LITERALS = (bool, int, float, str, type(None))
 
 @dataclass(frozen=True)
 class CompiledExpression:
-    """A compiled expression: source text, AST, and the two closures."""
+    """A compiled expression: source text, AST, and its three forms."""
 
     text: str
     tree: ast.Expression
@@ -64,6 +76,9 @@ class CompiledExpression:
     column_fn: Callable
     row_source: str
     column_source: str
+    #: ``batch_fn(columns)``: the whole output column, or ``None`` when
+    #: ``column_fn`` must compute it (see the module docstring).
+    batch_fn: Callable[[List[list]], Optional[list]]
 
     def __call__(self, row: dict):
         return self.row_fn(row)
@@ -255,6 +270,94 @@ def _referenced_attributes(node: ast.Expression, seen: List[str]) -> None:
             _referenced_attributes(child, seen)
 
 
+#: The arithmetic the batch form runs a column at a time.
+_BATCH_OPERATORS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "%": operator.mod,
+}
+_NUMBERS = frozenset({int, float})
+
+
+class _Unbatchable(Exception):
+    """A divisor holds a zero: the row form raises the error."""
+
+
+def _batch_node(node: ast.Expression, attributes: List[str]):
+    """``(values, per_row)`` for a numeric arithmetic node, else ``None``.
+
+    ``values(columns)`` is a list when ``per_row`` (the node reads an
+    attribute), else one number.  Intermediate values are ``int`` or
+    ``float`` whenever the argument columns are, so each operator runs
+    as the row form's inline fast path does.
+    """
+    if isinstance(node, ast.Attribute):
+        return operator.itemgetter(attributes.index(node.name)), True
+    if isinstance(node, ast.Literal):
+        value = node.value
+        if type(value) not in _NUMBERS:
+            return None
+        return (lambda columns: value), False
+    if not isinstance(node, ast.BinaryOp):
+        return None
+    function = _BATCH_OPERATORS.get(node.operator)
+    if function is None:
+        return None
+    left, right = (
+        _batch_node(node.left, attributes),
+        _batch_node(node.right, attributes),
+    )
+    if left is None or right is None:
+        return None
+    (left_values, left_rows), (right_values, right_rows) = left, right
+    divides = node.operator in ("/", "%")
+
+    def values(columns):
+        lhs, rhs = left_values(columns), right_values(columns)
+        if divides and (0 in rhs if right_rows else rhs == 0):
+            raise _Unbatchable
+        if not (left_rows or right_rows):
+            return function(lhs, rhs)
+        return list(
+            map(
+                function,
+                lhs if left_rows else repeat(lhs),
+                rhs if right_rows else repeat(rhs),
+            )
+        )
+
+    return values, left_rows or right_rows
+
+
+def _no_batch(columns: List[list]) -> None:
+    return None
+
+
+def _batch_form(
+    tree: ast.Expression, attributes: List[str]
+) -> Callable[[List[list]], Optional[list]]:
+    """The ``batch_fn`` of a tree (see the module docstring)."""
+    if isinstance(tree, ast.Attribute):
+        return operator.itemgetter(0)  # a bare attribute shares its column
+    plan = _batch_node(tree, attributes)
+    if plan is None or not plan[1]:
+        return _no_batch
+    values = plan[0]
+
+    def batch(columns: List[list]) -> Optional[list]:
+        for column in columns:
+            if not _NUMBERS.issuperset(map(type, column)):
+                return None  # a NULL, bool or non-number: the row form
+        try:
+            return values(columns)
+        except (_Unbatchable, ArithmeticError):
+            return None
+
+    return batch
+
+
 def _runtime_namespace(constants: List[object]) -> Dict[str, object]:
     return {
         "_arith": _arithmetic,
@@ -279,7 +382,7 @@ def _compile_body(source: str, name: str, constants: List[object]) -> Callable:
 
 
 def compile_tree(tree: ast.Expression, text: str = "") -> CompiledExpression:
-    """Compile a parsed expression tree to its two closures."""
+    """Compile a parsed expression tree to its three forms."""
     attributes: List[str] = []
     _referenced_attributes(tree, attributes)
 
@@ -304,6 +407,7 @@ def compile_tree(tree: ast.Expression, text: str = "") -> CompiledExpression:
         column_fn=column_fn,
         row_source=row_source,
         column_source=column_source,
+        batch_fn=_batch_form(tree, attributes),
     )
 
 

@@ -16,8 +16,9 @@ session.  Four things must then hold:
   also after the log has been compacted.
 * **Resume equivalence.**  The session saved to a file and loaded back
   (``save_to``/``Quarry.load_from``) must hold the same design, in the
-  same order, with zero integration calls, over the same ontology and
-  mappings, and its replay must reproduce it too.
+  same order, with zero integration calls, over the same ontology,
+  mappings and SCD policies (read back from the store, not passed in),
+  and its replay must reproduce it too.
 * **Mode parity.**  The final design's ETL executes on a generated
   TPC-H micro-database in both engine modes
   (:func:`repro.fuzz.oracle.run_mode`); every loaded table, dimension
@@ -355,15 +356,18 @@ def _resumed(quarry: Quarry) -> Quarry:
             path,
             tpch.schema(),
             tpch.mappings(),
-            scd_policies=dict(quarry.interpretation.interpreter.scd_policies),
             scd_effective_date=_EFFECTIVE_DATE,
         )
 
 
-def _domain(quarry: Quarry) -> Tuple[str, dict]:
-    """The session's ontology text and mappings snapshot."""
+def _domain(quarry: Quarry) -> Tuple[str, dict, dict]:
+    """The session's ontology text, mappings snapshot and SCD policies."""
     interpreter = quarry.interpretation.interpreter
-    return ontology_io.dumps(interpreter.ontology), interpreter.mappings.snapshot()
+    return (
+        ontology_io.dumps(interpreter.ontology),
+        interpreter.mappings.snapshot(),
+        dict(interpreter.scd_policies),
+    )
 
 
 def check_evolve_trial(trial: EvolveTrial) -> Optional[str]:

@@ -2,9 +2,16 @@
 
 The generator keeps a pool of *open* nodes (name + tracked output
 schema).  Each step draws an operation builder, consumes one or two open
-nodes and pushes the result back; at the end every open node is closed
-with a Loader into its own ``out<N>`` target so the flow validates
-(only loaders may be sinks) and the oracle can diff every branch.
+nodes and pushes the result back; a consumed node may stay open for a
+second consumer.  At the end every open node is closed with a Loader
+into its own ``out<N>`` target so the flow validates (only loaders may
+be sinks) and the oracle can diff every branch.
+
+About a quarter of join draws are *re-joins*: an open node that still
+carries an earlier join's left keys is joined to that join's right input
+on the same keys, as INNER or LEFT whatever the earlier join was.  That
+repeats a probe over the same column lists, which the columnar
+executor's per-execution memo must tell apart by join type.
 
 The tracked schemas mirror :mod:`repro.etlmodel.propagation` rule for
 rule — attribute order included — so generated flows execute rather
@@ -44,6 +51,11 @@ from repro.fuzz.datagen import TableSpec, inject_unhashable, make_tables
 
 _NUMERIC = (ScalarType.INTEGER, ScalarType.DECIMAL)
 
+#: The share of consumed nodes that stay open for a second consumer.
+_STAY_OPEN = 0.25
+#: The share of join draws that re-join an earlier join's right input.
+_REJOIN = 0.25
+
 _AGG_RESULT = {
     "SUM": None,  # input type
     "MIN": None,
@@ -71,6 +83,9 @@ class _Builder:
         self.flow = flow
         self._counter = 0
         self._column_counter = 0
+        #: Every join so far: ``(left keys, right input, right keys)``,
+        #: the right input as the join reads it (after any rename).
+        self.joins: List[Tuple[Tuple[str, ...], Entry, Tuple[str, ...]]] = []
 
     def fresh(self, stem: str) -> str:
         name = f"{stem}_{self._counter}"
@@ -231,25 +246,30 @@ def _union(builder: _Builder, entry: Entry) -> Entry:
     return node, dict(schema)
 
 
-def _join(builder: _Builder, left: Entry, right: Entry) -> Entry:
+def _join(
+    builder: _Builder, left: Entry, right: Entry, keys=None
+) -> Entry:
+    """Join two entries, on random keys or on ``(left keys, right keys)``."""
     rng = builder.rng
     left_name, left_schema = left
     right_name, right_schema = right
-    draw = rng.random()
-    if draw < 0.05:
-        arity = 0  # a keyless join: the cross product
-    elif draw < 0.35 and len(right_schema) >= 2:
-        arity = 2
-    else:
-        arity = 1
-    left_keys = [rng.choice(list(left_schema)) for _ in range(arity)]
-    right_keys = rng.sample(list(right_schema), arity)
-
     mapping: Dict[str, str] = {}
-    if arity and rng.random() < 0.35 and left_keys[0] not in right_schema:
-        # Exercise the same-named-key path: the equi-joined column
-        # collapses to one output attribute.
-        mapping[right_keys[0]] = left_keys[0]
+    if keys is not None:
+        left_keys, right_keys = (list(part) for part in keys)
+    else:
+        draw = rng.random()
+        if draw < 0.05:
+            arity = 0  # a keyless join: the cross product
+        elif draw < 0.35 and len(right_schema) >= 2:
+            arity = 2
+        else:
+            arity = 1
+        left_keys = [rng.choice(list(left_schema)) for _ in range(arity)]
+        right_keys = rng.sample(list(right_schema), arity)
+        if arity and rng.random() < 0.35 and left_keys[0] not in right_schema:
+            # Exercise the same-named-key path: the equi-joined column
+            # collapses to one output attribute.
+            mapping[right_keys[0]] = left_keys[0]
     joined_same = {
         mapping.get(r, r)
         for l, r in zip(left_keys, right_keys)
@@ -275,6 +295,9 @@ def _join(builder: _Builder, left: Entry, right: Entry) -> Entry:
         }
         right_keys = [mapping.get(key, key) for key in right_keys]
 
+    builder.joins.append(
+        (tuple(left_keys), (right_name, right_schema), tuple(right_keys))
+    )
     node = builder.fresh("join")
     join_type = rng.choice(
         (JoinType.INNER, JoinType.INNER, JoinType.LEFT)
@@ -313,6 +336,35 @@ _UNARY_BUILDERS = (
 )
 
 
+def _rejoin(builder: _Builder, open_nodes: List[Entry]) -> bool:
+    """Re-join an open node to an earlier join's right input, on that
+    join's keys; ``False`` when no open node carries any earlier join's
+    left keys."""
+    candidates = [
+        (index, (left_keys, right, right_keys))
+        for left_keys, right, right_keys in builder.joins
+        for index, (name, schema) in enumerate(open_nodes)
+        if name != right[0] and all(key in schema for key in left_keys)
+    ]
+    if not candidates:
+        return False
+    index, (left_keys, right, right_keys) = builder.rng.choice(candidates)
+    (left,) = _consume(builder.rng, open_nodes, [index])
+    open_nodes.append(_join(builder, left, right, (left_keys, right_keys)))
+    return True
+
+
+def _consume(
+    rng: random.Random, open_nodes: List[Entry], indexes: List[int]
+) -> List[Entry]:
+    """The open nodes at ``indexes``; each may stay open."""
+    entries = [open_nodes[index] for index in indexes]
+    for index in sorted(indexes, reverse=True):
+        if rng.random() >= _STAY_OPEN:
+            del open_nodes[index]
+    return entries
+
+
 def _weighted_choice(rng: random.Random, weighted):
     total = sum(weight for _, weight in weighted)
     mark = rng.random() * total
@@ -338,12 +390,14 @@ def build_flow(rng: random.Random, tables: List[TableSpec]) -> EtlFlow:
 
     for _ in range(rng.randint(2, 8)):
         if len(open_nodes) >= 2 and rng.random() < 0.45:
-            right = open_nodes.pop(rng.randrange(len(open_nodes)))
-            left = open_nodes.pop(rng.randrange(len(open_nodes)))
+            if rng.random() < _REJOIN and _rejoin(builder, open_nodes):
+                continue
+            right, left = _consume(
+                rng, open_nodes, rng.sample(range(len(open_nodes)), 2)
+            )
             open_nodes.append(_join(builder, left, right))
             continue
-        index = rng.randrange(len(open_nodes))
-        entry = open_nodes.pop(index)
+        (entry,) = _consume(rng, open_nodes, [rng.randrange(len(open_nodes))])
         build = _weighted_choice(rng, _UNARY_BUILDERS)
         open_nodes.append(build(builder, entry))
 

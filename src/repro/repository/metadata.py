@@ -3,7 +3,8 @@
 "the Communication & Metadata layer also serves as a repository for the
 metadata that are produced and used during the DW design lifecycle"
 (§2.5): information requirements, partial designs (per requirement),
-unified designs, domain ontologies and source schema mappings.
+unified designs, domain ontologies, source schema mappings and the SCD
+policies the interpreter applies per concept.
 
 Artefacts cross the boundary in their XML formats (xRQ/xMD/xLM) and are
 stored as JSON documents via the generic converter — mirroring the
@@ -28,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.requirements.model import InformationRequirement
 from repro.etlmodel.flow import EtlFlow
-from repro.mdmodel.model import MDSchema
+from repro.mdmodel.model import MDSchema, SCDPolicy
 from repro.ontology import io as ontology_io
 from repro.ontology.model import Ontology
 from repro.repository.documents import Collection, DocumentStore
@@ -46,6 +47,7 @@ PARTIAL_DESIGNS = "partial_designs"
 UNIFIED_DESIGNS = "unified_designs"
 ONTOLOGIES = "ontologies"
 MAPPINGS = "mappings"
+SCD_POLICIES = "scd_policies"
 DEPLOYMENTS = "deployments"
 BUS_EVENTS = "bus_events"
 CHECKPOINTS = "checkpoints"
@@ -359,6 +361,35 @@ class MetadataRepository:
             }
         )
         return mappings
+
+    def save_scd_policies(
+        self, ontology_name: str, policies: Dict[str, SCDPolicy]
+    ) -> str:
+        """Store the per-concept SCD policies, keyed by the ontology name."""
+        self._collection(SCD_POLICIES).replace(
+            {
+                "_id": ontology_name,
+                "kind": "scd_policies",
+                "policies": {
+                    concept: policy.value
+                    for concept, policy in policies.items()
+                },
+            }
+        )
+        return ontology_name
+
+    def load_scd_policies(
+        self, ontology_name: str
+    ) -> Optional[Dict[str, SCDPolicy]]:
+        """The stored SCD policies of an ontology, or ``None`` if none are
+        stored.  Reading never creates the collection."""
+        if namespaced(SCD_POLICIES, self._namespace) not in self._store:
+            return None
+        collection = self._collection(SCD_POLICIES)
+        if not collection.has(ontology_name):
+            return None
+        stored = collection.get(ontology_name)["policies"]
+        return {concept: SCDPolicy(value) for concept, value in stored.items()}
 
     # -- deployment records -------------------------------------------------------------
 

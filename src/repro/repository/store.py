@@ -1,9 +1,12 @@
 """JSON-file persistence for a :class:`DocumentStore`.
 
 One JSON file per store: ``{"name": ..., "collections": {name: [docs]},
-"indexes": {name: [paths]}}``.  Loading recreates collections, index
-declarations and documents verbatim (files without an ``"indexes"`` key
-load fine); documents must be JSON-serialisable (the metadata layer
+"indexes": {name: [paths]}}``, keys sorted, one document per line so
+the file diffs by document.  Each document is encoded by the C encoder
+(an ``indent`` would switch CPython to its pure-Python one).  Loading
+recreates collections, index declarations and documents verbatim (files
+without an ``"indexes"`` key, and files in any other JSON layout, load
+fine); documents must be JSON-serialisable (the metadata layer
 guarantees this by converting XML artefacts through
 :mod:`repro.xformats.xmljson` first).
 """
@@ -30,16 +33,11 @@ def save(store: DocumentStore, path) -> None:
     an empty or partial one.
     """
     snapshot = store.snapshot()
-    payload = {
-        "name": store.name,
-        "collections": snapshot["collections"],
-        "indexes": snapshot["indexes"],
-    }
     directory = os.path.dirname(os.path.abspath(path)) or "."
     handle, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(handle, "w", encoding="utf-8") as file:
-            json.dump(payload, file, indent=1, sort_keys=True)
+            file.write(_dumps(store.name, snapshot))
             file.flush()
             os.fsync(file.fileno())
         os.replace(temp_path, path)
@@ -48,6 +46,21 @@ def save(store: DocumentStore, path) -> None:
             os.unlink(temp_path)
         raise
     _fsync_directory(directory)
+
+
+def _dumps(name: str, snapshot) -> str:
+    """The store file's text: sorted keys, one document per line."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    collections = ",\n".join(
+        f"{encode(collection)}: [\n" + ",\n".join(map(encode, documents))
+        + "\n]"
+        for collection, documents in sorted(snapshot["collections"].items())
+    )
+    return (
+        f'{{"collections": {{\n{collections}\n}},\n'
+        f'"indexes": {encode(snapshot["indexes"])},\n'
+        f'"name": {encode(name)}}}\n'
+    )
 
 
 def _fsync_directory(directory: str) -> None:

@@ -10,6 +10,7 @@ the legacy re-interpretation path.
 import pytest
 
 from repro import Quarry
+from repro.mdmodel.model import SCDPolicy
 from repro.ontology import io as ontology_io
 from repro.ontology.model import Concept
 from repro.sources import tpch
@@ -139,9 +140,12 @@ class TestLegacyStores:
         assert [r.id for r in resumed.requirements()] == ["IR1", "IR2"]
 
 
-def demo_session(ontology=None, mappings=None):
+def demo_session(ontology=None, mappings=None, **kwargs):
     quarry = Quarry(
-        ontology or tpch.ontology(), tpch.schema(), mappings or tpch.mappings()
+        ontology or tpch.ontology(),
+        tpch.schema(),
+        mappings or tpch.mappings(),
+        **kwargs,
     )
     for requirement in (
         build_revenue_requirement(),
@@ -225,3 +229,30 @@ class TestEvolvedDomain:
         quarry, __ = saved_store
         assert quarry.repository.load_mappings("tpch") is None
         assert "mappings" not in quarry.repository.store
+
+    def test_renamed_scd_policies_come_back_from_the_store(self, tmp_path):
+        quarry = demo_session(scd_policies={"Supplier": "type2"})
+        assert quarry.repository.load_scd_policies("tpch") == {
+            "Supplier": SCDPolicy.TYPE2
+        }
+        quarry.rename_concept("Supplier", "Vendor")
+        path = tmp_path / "store.json"
+        quarry.save_to(path)
+
+        # The stored policies win over the caller's stale ones.
+        resumed = reload(path, scd_policies={"Supplier": "type2"})
+
+        policies = resumed.interpretation.interpreter.scd_policies
+        assert policies == {"Vendor": SCDPolicy.TYPE2}
+        assert resumed.integration_counts == {"md": 0, "etl": 0}
+        assert design_text(resumed) == design_text(quarry)
+
+    def test_a_session_without_policies_stores_none(self, saved_store):
+        quarry, path = saved_store
+        quarry.rename_concept("Supplier", "Vendor")
+        assert quarry.repository.load_scd_policies("tpch") is None
+        assert "scd_policies" not in quarry.repository.store
+        resumed = reload(path, scd_policies={"Part": "type1"})
+        assert resumed.interpretation.interpreter.scd_policies == {
+            "Part": SCDPolicy.TYPE1
+        }

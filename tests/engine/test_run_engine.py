@@ -95,3 +95,23 @@ def test_report_starts_with_host_facts(tmp_path, monkeypatch):
     assert list(report)[0] == "host"
     assert set(report["host"]) == {"cores", "python", "git"}
     assert report["ingest"]["results_identical"]
+
+
+def test_timings_are_median_and_quartiles_with_node_kinds(tmp_path, monkeypatch):
+    monkeypatch.setattr(run_engine, "SCALE_FACTORS", (0.05,))
+    monkeypatch.setattr(run_engine, "ROUNDS", 3)
+    output = tmp_path / "engine.json"
+
+    assert run_engine.main(["--output", str(output)]) == 0
+
+    workloads = json.loads(output.read_text())["scale_factors"]["0.05"]
+    for entry in workloads.values():
+        for mode in ("legacy_ms", "columnar_ms"):
+            timing = entry[mode]
+            assert 0 < timing["q1"] <= timing["median"] <= timing["q3"]
+    node_ms = workloads["s2_integrated"]["node_ms"]
+    assert set(node_ms) == {"legacy", "columnar"}
+    for kinds in node_ms.values():
+        assert {"Join", "Aggregation", "DerivedAttribute", "Loader"} <= set(kinds)
+        assert list(kinds.values()) == sorted(kinds.values(), reverse=True)
+    assert "node_ms" not in workloads["s1_revenue"]
