@@ -5,14 +5,51 @@ demo requirements (revenue, net profit, shipped quantity) plus a
 parameterised family of further analytical requirements so scalability
 sweeps (A3) can go well past the demo's size.  All requirements are
 valid against the TPC-H ontology and interpretable end to end.
+
+Also what the benchmark runners report every timing with: its median
+and quartiles over the rounds (:func:`spread`) and the facts of the
+host that measured it (:func:`host_facts`).
 """
 
 from __future__ import annotations
 
+import os
+import platform
+import statistics
+import subprocess
 from typing import Dict, List
 
 from repro import RequirementBuilder
 from repro.core.requirements.model import InformationRequirement
+
+def spread(values):
+    """Median and quartiles of the rounds' values."""
+    if len(values) > 1:
+        q1, __, q3 = statistics.quantiles(values, n=4)
+    else:
+        q1 = q3 = values[0]
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def host_facts():
+    """Cores, Python version and the checked-out git commit (``-dirty``
+    when the working tree has uncommitted changes)."""
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = "unknown"
+    return {
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "git": commit,
+    }
+
 
 #: Deterministic row counts handed to the cost model in benchmarks.
 ROW_COUNTS: Dict[str, int] = {

@@ -1,7 +1,8 @@
 """Design-pipeline benchmark runner: incremental vs from-scratch.
 
-Measures the four layers the sub-linear design pipeline rests on and
-writes ``BENCH_design.json``:
+Measures the three layers the sub-linear design pipeline rests on and
+writes ``BENCH_design.json``, each time as the median and quartiles of
+its rounds, under the host's facts (cores, Python, git commit):
 
 * **integrator** — at several design sizes N, the cost of accommodating
   a change (add / change / remove of the most recent requirement)
@@ -12,21 +13,19 @@ writes ``BENCH_design.json``:
   rebuilding the whole session over the evolved domain,
 * **ontology** — cached to-one closures on a warm
   :class:`~repro.ontology.graph.OntologyGraph` against uncached
-  recomputation,
-* **repository** — indexed equality lookups against full collection
-  scans.
+  recomputation.
 
 The runner is also an equivalence gate: every incremental result is
 compared against a from-scratch reference (same xMD/xLM serialisation,
-same requirement order; identical documents for the repository probes;
-identical closures and paths for the ontology), the bus-log replay
-(``replay_unified_design``) must reproduce the design after every
-incremental, changed, removed and evolved scenario, and the process
-exits non-zero on any disagreement — a speedup is only reported for
-results that are known identical.  Each design size also records how
-many events its bus log holds next to its requirement count: the log
-is compacted after committed changes, so it stays in proportion to the
-design, not to the number of changes.
+same requirement order; identical closures and paths for the
+ontology), the bus-log replay (``replay_unified_design``) must
+reproduce the design after every incremental, changed, removed and
+evolved scenario, and the process exits non-zero on any disagreement —
+a speedup (a ratio of medians) is only reported for results that are
+known identical.  Each design size also records how many events its
+bus log holds next to its requirement count: the log is compacted after
+committed changes, so it stays in proportion to the design, not to the
+number of changes.
 
 Usage::
 
@@ -51,14 +50,18 @@ except ModuleNotFoundError:  # running from a source checkout
 
 from repro import Quarry
 from repro.ontology.graph import OntologyGraph
-from repro.repository import Collection
 from repro.sources import tpch
 from repro.xformats import xlm, xmd
 
-from benchmarks._workloads import ROW_COUNTS, requirement_corpus
+from benchmarks._workloads import (
+    ROW_COUNTS,
+    host_facts,
+    requirement_corpus,
+    spread,
+)
 
 SIZES = (8, 32, 64, 128)
-ROUNDS = 3
+ROUNDS = 5
 HEADLINE_SIZE = 64
 
 
@@ -92,13 +95,26 @@ def check_replay(quarry: Quarry, label: str, mismatches) -> None:
         mismatches.append(f"{label}: bus-log replay differs from the design")
 
 
-def best_of(rounds, action):
-    best = float("inf")
-    for __ in range(rounds):
-        started = time.perf_counter()
-        action()
-        best = min(best, time.perf_counter() - started)
-    return best
+def elapsed_ms(action) -> float:
+    """Milliseconds one call of ``action`` takes."""
+    started = time.perf_counter()
+    action()
+    return (time.perf_counter() - started) * 1000
+
+
+def timed(rounds, action):
+    """Median and quartiles of ``action``'s milliseconds over the rounds."""
+    return spread([elapsed_ms(action) for __ in range(rounds)])
+
+
+def speedup(slow, fast) -> float:
+    """How many times faster ``fast`` is, as a ratio of medians."""
+    return slow["median"] / fast["median"]
+
+
+def show(timing) -> str:
+    """A timing as ``median [q1-q3]``, for the progress lines."""
+    return f"{timing['median']:.1f}ms [{timing['q1']:.1f}-{timing['q3']:.1f}]"
 
 
 # -- integrator layer ---------------------------------------------------------
@@ -112,23 +128,20 @@ def run_integrator_workloads(sizes, rounds, mismatches):
         last = corpus[count - 1]
         extra = corpus[count]
 
-        rebuild_seconds = best_of(rounds, quarry.rebuild)
+        rebuild = timed(rounds, quarry.rebuild)
 
         # Incremental add of one more requirement; the follow-up remove
         # restores the N-requirement design (and is itself free: the
         # removed requirement is the most recent checkpoint).
-        add_seconds = float("inf")
+        add_ms = []
         for __ in range(rounds):
-            started = time.perf_counter()
-            quarry.add_requirement(extra)
-            add_seconds = min(add_seconds, time.perf_counter() - started)
+            add_ms.append(elapsed_ms(lambda: quarry.add_requirement(extra)))
             quarry.remove_requirement(extra.id)
+        add = spread(add_ms)
         check_replay(quarry, f"N={count}: add then remove", mismatches)
 
         counts_before = dict(quarry.integration_counts)
-        change_seconds = best_of(
-            rounds, lambda: quarry.change_requirement(last)
-        )
+        change = timed(rounds, lambda: quarry.change_requirement(last))
         change_integrations = (
             quarry.integration_counts["md"] - counts_before["md"]
         ) // rounds
@@ -140,9 +153,7 @@ def run_integrator_workloads(sizes, rounds, mismatches):
             quarry.integration_counts["md"] - counts_before["md"]
         )
         check_replay(quarry, f"N={count}: remove", mismatches)
-        started = time.perf_counter()
-        quarry.add_requirement(last)
-        readd_seconds = time.perf_counter() - started
+        readd_ms = elapsed_ms(lambda: quarry.add_requirement(last))
         check_replay(quarry, f"N={count}: re-add", mismatches)
 
         # Equivalence gate: after all the timed churn the design must be
@@ -156,11 +167,11 @@ def run_integrator_workloads(sizes, rounds, mismatches):
         results[str(count)] = {
             "requirements": len(quarry.requirements()),
             "bus_events": quarry.repository.bus_event_count(),
-            "rebuild_seconds": rebuild_seconds,
-            "incremental_add_seconds": add_seconds,
-            "incremental_change_seconds": change_seconds,
-            "remove_last_then_readd_seconds": readd_seconds,
-            "change_speedup_vs_rebuild": rebuild_seconds / change_seconds,
+            "rebuild_ms": rebuild,
+            "incremental_add_ms": add,
+            "incremental_change_ms": change,
+            "remove_last_then_readd_ms": readd_ms,
+            "change_speedup_vs_rebuild": speedup(rebuild, change),
             "integrations_per_change": change_integrations,
             "integrations_for_remove_last": remove_integrations,
             "results_identical": not any(
@@ -168,9 +179,8 @@ def run_integrator_workloads(sizes, rounds, mismatches):
             ),
         }
         print(
-            f"  N={count:<4} rebuild {rebuild_seconds * 1000:8.1f}ms  "
-            f"add {add_seconds * 1000:6.1f}ms  "
-            f"change {change_seconds * 1000:6.1f}ms  "
+            f"  N={count:<4} rebuild {show(rebuild)}  add {show(add)}  "
+            f"change {show(change)}  "
             f"change speedup {results[str(count)]['change_speedup_vs_rebuild']:.1f}x"
         )
     return results
@@ -229,14 +239,12 @@ def run_evolution_workloads(sizes, rounds, mismatches):
         for requirement in corpus:
             quarry.add_requirement(requirement)
 
-        evolve_seconds = float("inf")
+        evolve_ms = []
         affected = refolded_from = None
         for __ in range(rounds):
             started = time.perf_counter()
             report = quarry.rename_concept(EVOLVED_CONCEPT, "Client")
-            evolve_seconds = min(
-                evolve_seconds, time.perf_counter() - started
-            )
+            evolve_ms.append((time.perf_counter() - started) * 1000)
             affected = len(report.affected)
             refolded_from = report.refolded_from
             quarry.rename_concept("Client", EVOLVED_CONCEPT)  # untimed undo
@@ -250,7 +258,8 @@ def run_evolution_workloads(sizes, rounds, mismatches):
                 evolved.add_requirement(requirement)
             return evolved
 
-        scratch_seconds = best_of(rounds, build_evolved)
+        evolve = spread(evolve_ms)
+        scratch = timed(rounds, build_evolved)
 
         quarry.rename_concept(EVOLVED_CONCEPT, "Client")
         if design_fingerprint(quarry) != design_fingerprint(build_evolved()):
@@ -259,26 +268,26 @@ def run_evolution_workloads(sizes, rounds, mismatches):
                 f"from-scratch rebuild of the evolved domain"
             )
         check_replay(quarry, f"evolve@{count}", mismatches)
-        speedup = scratch_seconds / evolve_seconds
+        evolve_speedup = speedup(scratch, evolve)
         results[str(count)] = {
             "operator": f"rename_concept({EVOLVED_CONCEPT!r}, 'Client')",
             "requirements": len(quarry.requirements()),
             "bus_events": quarry.repository.bus_event_count(),
             "affected_requirements": affected,
             "refolded_from_index": refolded_from,
-            "incremental_evolve_seconds": evolve_seconds,
-            "from_scratch_seconds": scratch_seconds,
-            "evolve_speedup_vs_rebuild": speedup,
+            "incremental_evolve_ms": evolve,
+            "from_scratch_ms": scratch,
+            "evolve_speedup_vs_rebuild": evolve_speedup,
             "results_identical": not any(
                 mismatch.startswith(f"evolve@{count}:")
                 for mismatch in mismatches
             ),
         }
         print(
-            f"  evolve@{count:<4} scratch {scratch_seconds * 1000:8.1f}ms  "
-            f"incremental {evolve_seconds * 1000:6.1f}ms  "
+            f"  evolve@{count:<4} scratch {show(scratch)}  "
+            f"incremental {show(evolve)}  "
             f"({affected} affected, refold from {refolded_from})  "
-            f"speedup {speedup:.1f}x"
+            f"speedup {evolve_speedup:.1f}x"
         )
     return results
 
@@ -299,12 +308,10 @@ def run_ontology_workload(rounds, mismatches):
         }
 
     cached_result = closures(True)  # warm the memo before timing
-    uncached_seconds = best_of(
+    uncached = timed(
         rounds, lambda: [closures(False) for __ in range(repeats)]
     )
-    cached_seconds = best_of(
-        rounds, lambda: [closures(True) for __ in range(repeats)]
-    )
+    cached = timed(rounds, lambda: [closures(True) for __ in range(repeats)])
     if closures(False) != cached_result:
         mismatches.append("ontology: cached closures differ from uncached")
 
@@ -320,71 +327,19 @@ def run_ontology_workload(rounds, mismatches):
                     f"ontology: to_one_path({source!r}, {target!r}) "
                     f"differs warm vs cold"
                 )
-    speedup = uncached_seconds / cached_seconds
+    cache_speedup = speedup(uncached, cached)
     print(
-        f"  ontology closures: uncached {uncached_seconds * 1000:6.1f}ms  "
-        f"cached {cached_seconds * 1000:6.1f}ms  speedup {speedup:.1f}x"
+        f"  ontology closures: uncached {show(uncached)}  "
+        f"cached {show(cached)}  speedup {cache_speedup:.1f}x"
     )
     return {
         "concepts": len(concept_ids),
         "repeats_per_round": repeats,
-        "uncached_seconds": uncached_seconds,
-        "cached_seconds": cached_seconds,
-        "speedup": speedup,
+        "uncached_ms": uncached,
+        "cached_ms": cached,
+        "speedup": cache_speedup,
         "results_identical": not any(
             mismatch.startswith("ontology:") for mismatch in mismatches
-        ),
-    }
-
-
-# -- repository layer ---------------------------------------------------------
-
-
-def run_repository_workload(rounds, mismatches):
-    documents = [
-        {
-            "_id": index,
-            "requirement": f"IR{index % 97}",
-            "kind": "partial" if index % 3 else "unified",
-            "payload": index,
-        }
-        for index in range(2000)
-    ]
-    indexed = Collection("bench")
-    indexed.create_index("requirement")
-    scanned = Collection("bench")
-    for document in documents:
-        indexed.insert(dict(document))
-        scanned.insert(dict(document))
-    probes = [f"IR{index % 97}" for index in range(200)]
-
-    def lookups(collection):
-        return [
-            collection.find({"requirement": probe}) for probe in probes
-        ]
-
-    indexed_results = lookups(indexed)
-    scanned_results = lookups(scanned)
-    if indexed_results != scanned_results:
-        mismatches.append("repository: indexed results differ from scan")
-    if not indexed.stats["index_lookups"]:
-        mismatches.append("repository: probes never touched the index")
-
-    indexed_seconds = best_of(rounds, lambda: lookups(indexed))
-    scanned_seconds = best_of(rounds, lambda: lookups(scanned))
-    speedup = scanned_seconds / indexed_seconds
-    print(
-        f"  repository lookups: scan {scanned_seconds * 1000:6.1f}ms  "
-        f"indexed {indexed_seconds * 1000:6.1f}ms  speedup {speedup:.1f}x"
-    )
-    return {
-        "documents": len(documents),
-        "probes": len(probes),
-        "scan_seconds": scanned_seconds,
-        "indexed_seconds": indexed_seconds,
-        "speedup": speedup,
-        "results_identical": not any(
-            mismatch.startswith("repository:") for mismatch in mismatches
         ),
     }
 
@@ -399,7 +354,6 @@ def run_suite(sizes=SIZES, rounds=ROUNDS, headline_size=HEADLINE_SIZE):
     integrator = run_integrator_workloads(sizes, rounds, mismatches)
     evolution = run_evolution_workloads(sizes, rounds, mismatches)
     ontology = run_ontology_workload(rounds, mismatches)
-    repository = run_repository_workload(rounds, mismatches)
 
     headline = str(headline_size)
     change_speedup = (
@@ -413,25 +367,26 @@ def run_suite(sizes=SIZES, rounds=ROUNDS, headline_size=HEADLINE_SIZE):
         else None
     )
     report = {
+        "host": host_facts(),
         "benchmark": "design pipeline: incremental updates vs from-scratch",
         "rounds": rounds,
-        "timing": "best of rounds",
+        "timing": (
+            "ms, median and quartiles over rounds; speedups are ratios "
+            "of medians; remove_last_then_readd_ms is one run"
+        ),
         "design_sizes": integrator,
         "evolution": evolution,
         "ontology": ontology,
-        "repository": repository,
         "headline": {
             "design_size": headline_size,
             "incremental_change_speedup": change_speedup,
             "incremental_evolve_speedup": evolve_speedup,
-            "indexed_lookup_speedup": repository["speedup"],
             "gate_incremental_change_5x": (
                 change_speedup is not None and change_speedup >= 5.0
             ),
             "gate_incremental_evolve_3x": (
                 evolve_speedup is not None and evolve_speedup >= 3.0
             ),
-            "gate_indexed_lookup_3x": repository["speedup"] >= 3.0,
         },
         "all_results_identical": not mismatches,
     }

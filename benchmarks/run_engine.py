@@ -28,9 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import statistics
-import subprocess
 import sys
 import time
 from collections import defaultdict
@@ -48,6 +46,7 @@ from repro.expressions import ScalarType
 from repro.fuzz.oracle import MODES, loaded_rows
 from repro.sources import tpch
 
+from benchmarks._workloads import host_facts, spread
 from benchmarks.bench_a1_equivalence import (
     consolidate_pairwise,
     reordered_pair,
@@ -57,15 +56,6 @@ from benchmarks.conftest import make_database
 
 SCALE_FACTORS = (0.25, 0.5, 1.0, 2.0)
 ROUNDS = 7
-
-
-def spread(values):
-    """Median and quartiles of the rounds' values."""
-    if len(values) > 1:
-        q1, __, q3 = statistics.quantiles(values, n=4)
-    else:
-        q1 = q3 = values[0]
-    return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
 def time_flows(database, flows, mode):
@@ -229,26 +219,6 @@ def run_ingest(mismatches):
         "results_identical": not any(
             m.startswith("ingest") for m in mismatches
         ),
-    }
-
-
-def host_facts():
-    """Cores, Python version and the checked-out git commit (``-dirty``
-    when the working tree has uncommitted changes)."""
-    try:
-        commit = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        commit = "unknown"
-    return {
-        "cores": os.cpu_count(),
-        "python": platform.python_version(),
-        "git": commit,
     }
 
 

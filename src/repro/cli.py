@@ -17,7 +17,9 @@ All commands operate on the TPC-H domain; ``--store FILE`` loads (and
 ``--session NAME`` selects which design session inside the store to
 operate on (stores can hold many).  For backward compatibility a
 ``--session`` value naming an existing file is treated as
-``--store FILE``.
+``--store FILE``.  A store that cannot be loaded (missing, malformed,
+holding no ontology) is reported as one ``error:`` line on stderr with
+exit status 2.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import os
 import sys
 from typing import List, Optional, Tuple
 
-from repro import Quarry, RequirementBuilder
+from repro import Quarry, QuarryError, RequirementBuilder
 from repro.sources import tpch
 
 
@@ -285,7 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except QuarryError as exc:  # a store it cannot load, a refused design
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,9 +12,10 @@ Four entry kinds, in per-seed order:
 
 * ``"flow"`` — source tables (schema + rows) and the flow as xLM text;
   replay runs the full differential flow check.
-* ``"query"`` — documents, query, sort key and limit (plus indexes,
-  session and decoys, which older entries may lack); replay runs the
-  document-store check against the naive reference.
+* ``"query"`` — documents, query, sort key and limit (plus session
+  and decoys, which older entries may lack; an older entry's
+  ``indexes`` is ignored); replay runs the document-store check
+  against the naive reference.
 * ``"lint"`` — same payload as ``"flow"``; replay runs the
   static/dynamic agreement check (linter versus engine) instead.
 * ``"evolve"`` — SCD policy assignment plus a design script (adds,
@@ -127,7 +128,6 @@ def _encode_query(trial: QueryTrial) -> dict:
         "query": encode_value(trial.query),
         "sort_key": trial.sort_key,
         "limit": trial.limit,
-        "indexes": list(trial.indexes),
         "session": trial.session,
         "decoys": {
             session: [encode_value(document) for document in documents]
@@ -144,7 +144,6 @@ def _decode_query(entry: dict) -> QueryTrial:
         query=decode_value(entry["query"]),
         sort_key=entry.get("sort_key"),
         limit=entry.get("limit"),
-        indexes=list(entry.get("indexes", [])),
         session=entry.get("session", ""),
         decoys={
             session: [decode_value(document) for document in documents]

@@ -144,10 +144,6 @@ def check_flow_trial(trial: FlowTrial) -> Optional[str]:
 def check_query_trial(trial: QueryTrial) -> Optional[str]:
     """Differential check of the document store against the reference.
 
-    Index declarations are split around the writes: even positions are
-    created up front (exercising incremental maintenance on every
-    replace), odd positions after (exercising the backfill path).
-
     The trial runs in its session's namespaced collection of a shared
     :class:`~repro.repository.documents.DocumentStore`; decoy documents
     are written into *other* sessions' collections first and checked
@@ -162,14 +158,8 @@ def check_query_trial(trial: QueryTrial) -> Optional[str]:
         for document in documents:
             decoy_collection.replace(document)
     collection = store.collection(namespaced("fuzz", trial.session))
-    for position, path in enumerate(trial.indexes):
-        if position % 2 == 0:
-            collection.create_index(path)
     for document in trial.documents:
         collection.replace(document)
-    for position, path in enumerate(trial.indexes):
-        if position % 2 == 1:
-            collection.create_index(path)
 
     actual = outcome(
         lambda: canonical_rows(

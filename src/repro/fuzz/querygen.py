@@ -36,15 +36,16 @@ _PATHS = ["a", "b", "c", "nest.x", "nest.y", "nest", "zzz"]
 
 _REGEXES = ["^x", "x$", "a", "[xy]", "^$", " "]
 
+#: Conditions that raise when evaluated on a document holding the path
+#: (``$nin`` also on one that lacks it): a non-list ``$in``/``$nin``
+#: operand and an uncompilable ``$regex``.  They raise the same
+#: ``TypeError`` and ``re.error`` in the store and in the reference.
+_UNSAFE = [("$in", 5), ("$nin", 2.5), ("$regex", "(")]
+
 
 @dataclass
 class QueryTrial:
     """One differential trial against the document store.
-
-    ``indexes`` lists dotted paths the collection declares secondary
-    indexes on before the trial's documents are written.  The reference
-    knows nothing about indexes, so any trial where index routing
-    changes a result (or an error) diverges.
 
     ``session`` is the namespace the trial's collection lives in (the
     empty string is the default/unprefixed namespace) and ``decoys``
@@ -59,7 +60,6 @@ class QueryTrial:
     query: Optional[dict]
     sort_key: Optional[str]
     limit: Optional[int]
-    indexes: List[str] = field(default_factory=list)
     session: str = ""
     decoys: Dict[str, List[dict]] = field(default_factory=dict)
     seed: object = None
@@ -143,24 +143,14 @@ def _random_query(rng: random.Random, depth: int = 1) -> Optional[dict]:
     if depth > 0 and roll < 0.24:
         return {"$not": _random_query(rng, 0) or {}}
     query = {}
+    if rng.random() < 0.1:
+        # First, so a route that skips documents (the ``_id`` lookup, a
+        # limit's early stop) would skip the evaluation that raises.
+        op, operand = rng.choice(_UNSAFE)
+        query[rng.choice(_PATHS)] = {op: operand}
     for _ in range(rng.randint(1, 2)):
         query.update(_field_condition(rng))
     return query
-
-
-def _random_indexes(rng: random.Random) -> List[str]:
-    """A random set of index declarations for a trial.
-
-    Half of the trials run unindexed (the scan path must stay correct
-    too); the rest index a few paths, ``_id`` included — an ``_id``
-    secondary index is redundant with the primary fast path but must
-    not change any answer.
-    """
-    if rng.random() < 0.5:
-        return []
-    pool = list(_PATHS) + ["_id"]
-    rng.shuffle(pool)
-    return pool[: rng.randint(1, 3)]
 
 
 def _random_sessions(rng: random.Random):
@@ -195,14 +185,12 @@ def build_query_trial(seed: int) -> QueryTrial:
         rng.choice(_PATHS + ["_id"]) if rng.random() < 0.45 else None
     )
     limit = rng.randint(0, 5) if rng.random() < 0.3 else None
-    indexes = _random_indexes(rng)
     session, decoys = _random_sessions(rng)
     return QueryTrial(
         documents=documents,
         query=query,
         sort_key=sort_key,
         limit=limit,
-        indexes=indexes,
         session=session,
         decoys=decoys,
         seed=seed,

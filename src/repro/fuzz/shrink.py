@@ -156,7 +156,7 @@ def _query_candidates(query) -> List[object]:
 
 
 def query_candidates(trial) -> Iterator[object]:
-    """Documents, limit, sort key, indexes, decoys, session, then query."""
+    """Documents, limit, sort key, decoys, session, then query."""
     documents = trial.documents
     for index in range(len(documents)):
         yield replace(
@@ -166,9 +166,6 @@ def query_candidates(trial) -> Iterator[object]:
         yield replace(trial, limit=None)
     if trial.sort_key is not None:
         yield replace(trial, sort_key=None)
-    indexes = trial.indexes
-    for index in range(len(indexes)):
-        yield replace(trial, indexes=indexes[:index] + indexes[index + 1:])
     for dropped in sorted(trial.decoys):
         yield replace(
             trial,

@@ -5,12 +5,11 @@ Filters support equality on (dotted) paths plus the operators
 ``$eq $ne $gt $gte $lt $lte $in $nin $exists $regex`` and the
 conjunctions ``$and $or $not``.
 
-Collections support secondary (field-value) indexes on declared dotted
-paths, maintained on every write.  A small query planner routes
-top-level equality and ``$in`` filters through an index and falls back
-to a full scan for everything else; candidates from any route are still
-verified against the full query, so an index can change only *how fast*
-a query answers, never *what* it answers.
+A collection answers a query by ``_id`` or by a scan: a filter that
+pins the ``_id`` (equality, ``$eq`` or ``$in``) reads the primary map,
+everything else scans in collection order.  Either way every candidate
+is verified against the full query, so the route changes only *how
+fast* a query answers, never *what* it answers.
 
 Collections are thread-safe: every public read and write holds the
 collection's reentrant lock, so concurrent design sessions can share one
@@ -21,7 +20,7 @@ into distinct collections never contend with each other.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.locks import new_rlock
 
@@ -145,11 +144,11 @@ def matches(document: dict, query: dict) -> bool:
 def _query_is_safe(query: dict) -> bool:
     """Whether evaluating ``query`` can never raise, on any document.
 
-    Index routing and limit short-circuiting skip documents a full scan
-    would have match-tested; that is only sound when none of those
+    The ``_id`` route and limit short-circuiting skip documents a full
+    scan would have match-tested; that is only sound when none of those
     skipped evaluations could have raised (unknown operator, malformed
     ``$in``/``$regex`` operand).  Unsafe queries take the plain scan
-    path so error behaviour is bit-identical to an unindexed collection.
+    path so they raise exactly as a scan does.
     """
     for key, condition in query.items():
         if key in ("$and", "$or"):
@@ -185,69 +184,6 @@ def _query_is_safe(query: dict) -> bool:
     return True
 
 
-class _FieldIndex:
-    """Equality index over one dotted path.
-
-    ``buckets`` maps a document's value at the path to the ids holding
-    it.  Values that Python cannot hash (lists, dicts) land in the
-    ``loose`` set, which every index lookup includes wholesale — the
-    full-query verification pass filters them, so unhashable values cost
-    a small residual scan instead of wrong answers.  Documents without
-    the path are absent entirely: equality and ``$in`` can never match
-    a missing field.
-    """
-
-    __slots__ = ("path", "buckets", "loose")
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self.buckets: Dict[object, Set] = {}
-        self.loose: Set = set()
-
-    def add(self, doc_id, document: dict) -> None:
-        value, found = _resolve_path(document, self.path)
-        if not found:
-            return
-        try:
-            bucket = self.buckets.setdefault(value, set())
-        except TypeError:
-            self.loose.add(doc_id)
-            return
-        bucket.add(doc_id)
-
-    def remove(self, doc_id, document: dict) -> None:
-        value, found = _resolve_path(document, self.path)
-        if not found:
-            return
-        try:
-            bucket = self.buckets.get(value)
-        except TypeError:
-            self.loose.discard(doc_id)
-            return
-        if bucket is not None:
-            bucket.discard(doc_id)
-            if not bucket:
-                del self.buckets[value]
-
-    def lookup(self, values: Iterable) -> Set:
-        """Ids whose indexed value *may* equal one of ``values``.
-
-        A superset of the true matches (it always includes ``loose``);
-        the caller verifies candidates against the full query.
-        """
-        ids = set(self.loose)
-        for value in values:
-            try:
-                bucket = self.buckets.get(value)
-            except TypeError:
-                # An unhashable probe can only equal unhashable stored
-                # values, and those are all in ``loose`` already.
-                continue
-            if bucket:
-                ids.update(bucket)
-        return ids
-
-
 class Collection:
     """One named collection of documents."""
 
@@ -262,47 +198,17 @@ class Collection:
         #: existing document keeps its position, like dict assignment).
         self._positions: Dict[str, int] = {}  # guarded-by: Collection._lock
         self._next_position = 0  # guarded-by: Collection._lock
-        self._indexes: Dict[str, _FieldIndex] = {}  # guarded-by: Collection._lock
-        #: Which route answered each read — tests and benchmarks assert
-        #: the planner took the cheap path (they read without the lock,
-        #: after the writers have quiesced).
+        #: Which route answered each read — tests assert the planner
+        #: took the cheap path (they read without the lock, after the
+        #: writers have quiesced).
         self.stats: Dict[str, int] = {  # guarded-by: Collection._lock [writes]
-            "scans": 0, "index_lookups": 0, "id_lookups": 0,
+            "scans": 0, "id_lookups": 0,
         }
 
     def _track(self, doc_id) -> None:
         if doc_id not in self._positions:
             self._positions[doc_id] = self._next_position
             self._next_position += 1
-
-    # -- indexes ----------------------------------------------------------
-
-    def create_index(self, path: str) -> None:
-        """Declare (idempotently) an equality index on a dotted path.
-
-        Existing documents are backfilled immediately; subsequent writes
-        maintain the index incrementally.
-        """
-        with self._lock:
-            if path in self._indexes:
-                return
-            index = _FieldIndex(path)
-            for doc_id, document in self._documents.items():
-                index.add(doc_id, document)
-            self._indexes[path] = index
-
-    def indexes(self) -> List[str]:
-        """Declared index paths, in declaration order."""
-        with self._lock:
-            return list(self._indexes)
-
-    def _index_add(self, doc_id, document: dict) -> None:
-        for index in self._indexes.values():
-            index.add(doc_id, document)
-
-    def _index_remove(self, doc_id, document: dict) -> None:
-        for index in self._indexes.values():
-            index.remove(doc_id, document)
 
     # -- writes -----------------------------------------------------------
 
@@ -316,10 +222,8 @@ class Collection:
                 raise DuplicateDocumentError(
                     f"document {doc_id!r} already in collection {self.name!r}"
                 )
-            stored = dict(document)
-            self._documents[doc_id] = stored
+            self._documents[doc_id] = dict(document)
             self._track(doc_id)
-            self._index_add(doc_id, stored)
         return doc_id
 
     def replace(self, document: dict) -> str:
@@ -328,13 +232,8 @@ class Collection:
             raise RepositoryError("document needs an '_id'")
         doc_id = document["_id"]
         with self._lock:
-            previous = self._documents.get(doc_id)
-            if previous is not None:
-                self._index_remove(doc_id, previous)
-            stored = dict(document)
-            self._documents[doc_id] = stored
+            self._documents[doc_id] = dict(document)
             self._track(doc_id)
-            self._index_add(doc_id, stored)
         return doc_id
 
     def bulk_load(self, documents: Iterable[dict]) -> int:
@@ -354,24 +253,21 @@ class Collection:
         """Shallow-merge changes into an existing document."""
         with self._lock:
             document = self.get(doc_id)
-            self._index_remove(doc_id, self._documents[doc_id])
             document.update({k: v for k, v in changes.items() if k != "_id"})
             self._documents[doc_id] = document
-            self._index_add(doc_id, document)
             return dict(document)
 
     def delete(self, doc_id: str) -> None:
         with self._lock:
             if doc_id not in self._documents:
                 raise DocumentNotFoundError(self.name, doc_id)
-            self._index_remove(doc_id, self._documents[doc_id])
             del self._documents[doc_id]
             del self._positions[doc_id]
 
     def delete_many(self, query: dict) -> int:
         # Materialise the ids first (the generator walks _documents),
-        # then delete with full bookkeeping: positions and index entries
-        # go too, exactly as in single-document delete.
+        # then delete with full bookkeeping: positions go too, exactly
+        # as in single-document delete.
         with self._lock:
             doomed = [document["_id"] for document in self._matching(query)]
             for doc_id in doomed:
@@ -428,48 +324,14 @@ class Collection:
         except TypeError:  # unhashable id in the query: scan as before
             return None
 
-    def _index_candidates(self, query: dict):
-        """Documents narrowed by a secondary index, or None.
-
-        The planner picks the first top-level field condition that is a
-        plain equality, ``$eq`` or a list-valued ``$in`` over an indexed
-        path.  (``$in`` on a non-list is left to the scan path: ``in``
-        over a string means substring containment there, which a
-        per-element index probe cannot reproduce.)
-        """
-        for path, condition in query.items():
-            if path.startswith("$"):
-                continue
-            index = self._indexes.get(path)
-            if index is None:
-                continue
-            if isinstance(condition, dict) and any(
-                op.startswith("$") for op in condition
-            ):
-                if "$eq" in condition:
-                    values = [condition["$eq"]]
-                elif "$in" in condition and isinstance(
-                    condition["$in"], (list, tuple)
-                ):
-                    values = list(condition["$in"])
-                else:
-                    continue
-            else:
-                values = [condition]
-            hits = sorted(
-                index.lookup(values), key=self._positions.__getitem__
-            )
-            return [self._documents[doc_id] for doc_id in hits]
-        return None
-
     def _plan(self, query: Optional[dict]):
         """(candidate documents, whether evaluation may skip documents).
 
-        Candidates come from the ``_id`` fast path, a secondary index,
-        or a full scan — always in collection order, always a superset
-        of the true matches.  Routes that skip documents are only taken
-        for *safe* queries (see :func:`_query_is_safe`), so a query that
-        would raise mid-scan still raises identically.
+        Candidates come from the ``_id`` fast path or a full scan —
+        always in collection order, always a superset of the true
+        matches.  Routes that skip documents are only taken for *safe*
+        queries (see :func:`_query_is_safe`), so a query that would
+        raise mid-scan still raises identically.
         """
         if not query:
             return self._documents.values(), True
@@ -479,10 +341,6 @@ class Collection:
         narrowed = self._id_candidates(query)
         if narrowed is not None:
             self.stats["id_lookups"] += 1
-            return narrowed, True
-        narrowed = self._index_candidates(query)
-        if narrowed is not None:
-            self.stats["index_lookups"] += 1
             return narrowed, True
         self.stats["scans"] += 1
         return self._documents.values(), True
@@ -593,11 +451,6 @@ class DocumentStore:
                     "collections": {
                         collection.name: collection.find()  # calls: Collection.find
                         for collection in collections
-                    },
-                    "indexes": {
-                        collection.name: collection.indexes()
-                        for collection in collections
-                        if collection.indexes()
                     },
                 }
             finally:

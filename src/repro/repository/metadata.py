@@ -18,9 +18,10 @@ A repository is a *view* over a shared document store, scoped by a
 session **namespace**: the default namespace (``""``) uses the plain
 collection names, every other namespace prefixes them
 (``session::<ns>::<collection>``), so many design sessions coexist in
-one store without ever seeing each other's artefacts.  Catalog indexes
-are declared per namespace.  The global ``sessions`` collection (never
-namespaced) registers which sessions live in the store.
+one store without ever seeing each other's artefacts.  Every lookup is
+by ``_id`` or a scan of one namespace's collection.  The global
+``sessions`` collection (never namespaced) registers which sessions
+live in the store.
 """
 
 from __future__ import annotations
@@ -77,24 +78,14 @@ def _event_id(position: int) -> str:
     return f"evt::{position:08d}"
 
 
+def _partial_id(requirement_id: str) -> str:
+    """The ``_id`` of a requirement's partial design."""
+    return f"partial::{requirement_id}"
+
+
 def namespace_for_session(session: str) -> str:
     """Map a session name to its store namespace (default -> ``""``)."""
     return "" if session in ("", DEFAULT_SESSION) else session
-
-
-#: Secondary indexes the catalog declares on its collections.  The
-#: partial-design ``requirement`` index serves the hot lookup of the
-#: lifecycle (cascade-deleting the partial designs of a requirement);
-#: ``kind`` indexes serve catalog-wide audits; ``design`` serves the
-#: deployment history lookup; ``topic`` serves per-topic bus replay.
-CATALOG_INDEXES = {
-    REQUIREMENTS: ("kind",),
-    PARTIAL_DESIGNS: ("requirement", "kind"),
-    UNIFIED_DESIGNS: ("kind",),
-    DEPLOYMENTS: ("design", "platform"),
-    BUS_EVENTS: ("topic",),
-    CHECKPOINTS: ("kind",),
-}
 
 
 class MetadataRepository:
@@ -107,10 +98,6 @@ class MetadataRepository:
     ) -> None:
         self._store = store if store is not None else DocumentStore()
         self._namespace = namespace
-        for collection_name, paths in CATALOG_INDEXES.items():
-            collection = self._collection(collection_name)
-            for path in paths:
-                collection.create_index(path)
 
     @property
     def store(self) -> DocumentStore:
@@ -174,7 +161,7 @@ class MetadataRepository:
     def delete_requirement(self, requirement_id: str) -> None:
         self._collection(REQUIREMENTS).delete(requirement_id)
         self._collection(PARTIAL_DESIGNS).delete_many(
-            {"requirement": requirement_id}
+            {"_id": _partial_id(requirement_id)}
         )
 
     def requirement_ids(self) -> List[str]:
@@ -186,7 +173,7 @@ class MetadataRepository:
         self, requirement_id: str, xmd_tree: dict, xlm_tree: dict
     ) -> str:
         """Store one requirement's partial design as its xMD/xLM trees."""
-        doc_id = f"partial::{requirement_id}"
+        doc_id = _partial_id(requirement_id)
         document = {
             "_id": doc_id,
             "kind": "partial_design",
@@ -200,7 +187,7 @@ class MetadataRepository:
     def partial_design_trees(self, requirement_id: str) -> Tuple[dict, dict]:
         """The stored (xMD, xLM) trees of a requirement's partial design."""
         document = self._collection(PARTIAL_DESIGNS).get(
-            f"partial::{requirement_id}"
+            _partial_id(requirement_id)
         )
         return document["xmd"], document["xlm"]
 

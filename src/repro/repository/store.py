@@ -1,14 +1,13 @@
 """JSON-file persistence for a :class:`DocumentStore`.
 
-One JSON file per store: ``{"name": ..., "collections": {name: [docs]},
-"indexes": {name: [paths]}}``, keys sorted, one document per line so
-the file diffs by document.  Each document is encoded by the C encoder
-(an ``indent`` would switch CPython to its pure-Python one).  Loading
-recreates collections, index declarations and documents verbatim (files
-without an ``"indexes"`` key, and files in any other JSON layout, load
-fine); documents must be JSON-serialisable (the metadata layer
-guarantees this by converting XML artefacts through
-:mod:`repro.xformats.xmljson` first).
+One JSON file per store: ``{"name": ..., "collections": {name: [docs]}}``,
+keys sorted, one document per line so the file diffs by document.  Each
+document is encoded by the C encoder (an ``indent`` would switch
+CPython to its pure-Python one).  Loading recreates collections and
+documents verbatim (files in any other JSON layout load fine, and the
+``"indexes"`` key of older files is ignored); documents must be
+JSON-serialisable (the metadata layer guarantees this by converting XML
+artefacts through :mod:`repro.xformats.xmljson` first).
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ def _dumps(name: str, snapshot) -> str:
     )
     return (
         f'{{"collections": {{\n{collections}\n}},\n'
-        f'"indexes": {encode(snapshot["indexes"])},\n'
         f'"name": {encode(name)}}}\n'
     )
 
@@ -75,21 +73,47 @@ def _fsync_directory(directory: str) -> None:
 
 
 def load(path) -> DocumentStore:
-    """Read a store back from disk."""
+    """Read a store back from disk; a file that cannot be read or is not
+    a store raises :class:`RepositoryError`."""
     try:
         with open(path, "r", encoding="utf-8") as file:
             payload = json.load(file)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise RepositoryError(f"cannot load document store: {exc}") from exc
-    if not isinstance(payload, dict) or "collections" not in payload:
-        raise RepositoryError("malformed document store file")
+    collections = _checked_collections(payload)
     store = DocumentStore(name=payload.get("name", "quarry"))
-    indexes = payload.get("indexes", {})
-    for collection_name, documents in payload["collections"].items():
-        collection = store.collection(collection_name)
-        for index_path in indexes.get(collection_name, []):
-            collection.create_index(index_path)
+    for collection_name, documents in collections.items():
         # One lock hold per collection: a reader that grabs the store
         # mid-load sees each collection either empty or complete.
-        collection.bulk_load(documents)
+        store.collection(collection_name).bulk_load(documents)
     return store
+
+
+def _checked_collections(payload) -> dict:
+    """The file's ``collections`` object, once its layout is checked:
+    each collection a list of objects whose ``_id`` can key a map."""
+    collections = (
+        payload.get("collections") if isinstance(payload, dict) else None
+    )
+    if not isinstance(collections, dict):
+        raise RepositoryError(
+            "malformed document store file: no 'collections' object"
+        )
+    for name, documents in collections.items():
+        if not isinstance(documents, list):
+            raise RepositoryError(
+                f"malformed document store file: collection {name!r} "
+                f"is not a list"
+            )
+        for document in documents:
+            if not isinstance(document, dict):
+                raise RepositoryError(
+                    f"malformed document store file: collection {name!r} "
+                    f"holds a {type(document).__name__}, not an object"
+                )
+            if isinstance(document.get("_id"), (list, dict)):
+                raise RepositoryError(
+                    f"malformed document store file: collection {name!r} "
+                    f"holds the unhashable _id {document['_id']!r}"
+                )
+    return collections

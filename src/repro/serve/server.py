@@ -554,8 +554,6 @@ class _Handler(BaseHTTPRequestHandler):
             status, payload = self._route(method)
         except ServeError as exc:
             self._reply(exc.status, {"error": str(exc)})
-        except KeyError as exc:
-            self._reply(404, {"error": f"not found: {exc}"})
         except UnknownRequirementError as exc:
             self._reply(404, {"error": str(exc)})
         except DuplicateRequirementError as exc:

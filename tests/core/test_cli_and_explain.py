@@ -5,6 +5,8 @@ import pytest
 from repro.cli import main
 from repro.etlmodel.cost import CostModel
 from repro.etlmodel.explain import explain
+from repro.repository import DocumentStore
+from repro.repository.store import save
 
 from tests.etlmodel.conftest import build_revenue_flow
 
@@ -105,3 +107,35 @@ class TestCli:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["bogus"])
+
+
+class TestCliStoreErrors:
+    """A store the CLI cannot load is one ``error:`` line and exit 2."""
+
+    def fails_in_one_line(self, capsys, argv) -> str:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        return captured.err
+
+    @pytest.mark.parametrize(
+        "command", ["status", "ddl", "explain", "sessions", "tune"]
+    )
+    def test_missing_store(self, capsys, tmp_path, command):
+        missing = str(tmp_path / "missing.json")
+        error = self.fails_in_one_line(capsys, [command, "--store", missing])
+        assert "cannot load document store" in error
+
+    def test_malformed_store(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"collections": []}')
+        error = self.fails_in_one_line(capsys, ["status", "--store", str(path)])
+        assert "malformed document store file" in error
+
+    def test_store_without_an_ontology(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        save(DocumentStore(), path)
+        error = self.fails_in_one_line(capsys, ["status", "--store", str(path)])
+        assert error == "error: repository holds no ontology\n"

@@ -30,7 +30,6 @@ class TestBenchmarkSmoke:
         assert report["all_results_identical"]
         assert report["design_sizes"]["4"]["results_identical"]
         assert report["ontology"]["results_identical"]
-        assert report["repository"]["results_identical"]
 
     def test_replay_gate_reports_a_replay_that_differs(self, monkeypatch):
         from repro.etlmodel.flow import EtlFlow

@@ -27,7 +27,6 @@ def _query_trial():
         query={"$and": [{"a": {"$gte": 1, "$lt": 3}}, {"b": {"$in": ["x", "y"]}}]},
         sort_key="a",
         limit=3,
-        indexes=["a", "b"],
         session="alpha",
         decoys={"beta": [{"_id": "e0", "a": 1}], "": [{"_id": "e1"}]},
         seed=None,
@@ -70,7 +69,6 @@ def test_query_shrinks_to_the_one_document_that_matters():
     assert shrunk.query is None
     assert shrunk.limit is None
     assert shrunk.sort_key is None
-    assert shrunk.indexes == []
     assert shrunk.decoys == {}
     assert shrunk.session == ""
 

@@ -189,6 +189,29 @@ class TestPersistence:
         with pytest.raises(RepositoryError):
             file_store.load(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"collections": []}',
+            '{"collections": {"c": {"_id": 1}}}',
+            '{"collections": {"c": [1]}}',
+            '{"collections": {"c": [{"_id": [1, 2]}]}}',
+        ],
+        ids=[
+            "collections-not-an-object",
+            "collection-not-a-list",
+            "document-not-an-object",
+            "unhashable-id",
+        ],
+    )
+    def test_load_refuses_a_malformed_layout(self, tmp_path, text):
+        from repro.repository import store as file_store
+
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(RepositoryError, match="malformed"):
+            file_store.load(path)
+
 
 class TestIdFastPath:
     """Queries pinning ``_id`` are answered by hash lookup, with the
@@ -272,3 +295,107 @@ class TestIdFastPath:
         monkeypatch.setattr(documents_module, "matches", spying_matches)
         designs.find_one({"_id": "d2"})
         assert seen == ["d2"]
+
+
+def seeded() -> Collection:
+    collection = Collection("c")
+    collection.insert({"_id": "a", "kind": "fact", "nest": {"x": 1}})
+    collection.insert({"_id": "b", "kind": "dim", "nest": {"x": 2}})
+    collection.insert({"_id": "c", "kind": "fact"})
+    collection.insert({"_id": "d"})
+    return collection
+
+
+class TestWriteBookkeeping:
+    def test_replace_changes_what_a_query_finds(self):
+        collection = seeded()
+        collection.replace({"_id": "a", "kind": "dim"})
+        assert [d["_id"] for d in collection.find({"kind": "dim"})] == ["a", "b"]
+        assert [d["_id"] for d in collection.find({"kind": "fact"})] == ["c"]
+
+    def test_update_changes_what_a_query_finds(self):
+        collection = seeded()
+        collection.update("c", {"kind": "dim"})
+        assert [d["_id"] for d in collection.find({"kind": "fact"})] == ["a"]
+        assert [d["_id"] for d in collection.find({"kind": "dim"})] == ["b", "c"]
+
+    def test_deleted_document_is_not_found(self):
+        collection = seeded()
+        collection.delete("a")
+        assert [d["_id"] for d in collection.find({"kind": "fact"})] == ["c"]
+
+    def test_delete_many_releases_positions(self):
+        collection = seeded()
+        assert collection.delete_many({"kind": "fact"}) == 2
+        assert collection.find({"kind": "fact"}) == []
+        # Re-inserting a deleted id lands at the end of collection
+        # order: its old position really was released.
+        collection.insert({"_id": "a", "kind": "dim"})
+        assert [d["_id"] for d in collection.find()] == ["b", "d", "a"]
+
+
+def scan_error(collection, query) -> Exception:
+    """What a plain scan — ``matches`` over every document, in
+    collection order — raises for ``query``."""
+    with pytest.raises(Exception) as raised:
+        for document in collection.find():
+            matches(document, query)
+    return raised.value
+
+
+class TestRoutes:
+    """A query is answered by ``_id`` or by a scan, and the routes that
+    skip documents (the ``_id`` lookup, a limit's early stop) never
+    change an answer or hide an error."""
+
+    def test_replace_keeps_collection_order(self):
+        collection = seeded()
+        collection.replace({"_id": "a", "kind": "fact", "touched": True})
+        assert [d["_id"] for d in collection.find({"kind": "fact"})] == ["a", "c"]
+
+    def test_field_query_scans(self):
+        collection = seeded()
+        collection.find({"missing_path": 1})
+        collection.find({"kind": "fact"})
+        assert collection.stats == {"scans": 2, "id_lookups": 0}
+
+    def test_in_over_string_scans(self):
+        # "fact" in "factory" is substring containment, not equality.
+        collection = seeded()
+        result = collection.find({"kind": {"$in": "factory"}})
+        assert collection.stats["scans"] == 1
+        assert [d["_id"] for d in result] == ["a", "c"]
+
+    def test_unsafe_query_raises(self):
+        collection = seeded()
+        with pytest.raises(RepositoryError):
+            collection.find({"kind": {"$bogus": 1}})
+        with pytest.raises(RepositoryError):
+            collection.count({"kind": {"$bogus": 1}})
+
+    def test_limit_zero_and_early_stop(self):
+        collection = seeded()
+        assert collection.find({"kind": "fact"}, limit=0) == []
+        assert len(collection.find({"kind": "fact"}, limit=1)) == 1
+
+    @pytest.mark.parametrize(
+        "unsafe",
+        [{"$bogus": 1}, {"$in": 5}, {"$regex": "("}],
+        ids=["unknown-operator", "non-list-in", "uncompilable-regex"],
+    )
+    def test_unsafe_query_fails_as_a_scan_does(self, unsafe):
+        # The unsafe condition comes first, so a scan raises on the
+        # first document holding "kind"; the _id route would look up
+        # "ghost" alone and a limit of 0 would look at nothing.
+        collection = seeded()
+        query = {"kind": unsafe, "_id": "ghost"}
+        expected = scan_error(collection, query)
+        for attempt in (
+            lambda: collection.find(query),
+            lambda: collection.count(query),
+            lambda: collection.find({"kind": unsafe}, limit=0),
+        ):
+            with pytest.raises(type(expected)) as raised:
+                attempt()
+            assert str(raised.value) == str(expected)
+        assert collection.stats["id_lookups"] == 0

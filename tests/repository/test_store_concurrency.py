@@ -38,7 +38,7 @@ def _paired_writer(
 def test_save_under_concurrent_writers_is_torn_free(tmp_path, monkeypatch):
     store = DocumentStore(name="ledger")
     store.collection("credits")
-    store.collection("debits").create_index("ref")
+    store.collection("debits")
 
     original_find = Collection.find
 
@@ -72,15 +72,12 @@ def test_save_under_concurrent_writers_is_torn_free(tmp_path, monkeypatch):
     debits = payload["collections"]["debits"]
     dangling = [doc["_id"] for doc in debits if doc["ref"] not in credits]
     assert not dangling, f"torn snapshot: debits without credits {dangling}"
-    assert payload["indexes"] == {"debits": ["ref"]}
 
 
-def test_load_restores_documents_and_indexes(tmp_path):
+def test_load_restores_documents(tmp_path):
     store = DocumentStore(name="ledger")
     store.collection("credits").insert({"_id": "c0", "amount": 1})
-    debits = store.collection("debits")
-    debits.create_index("ref")
-    debits.insert({"_id": "d0", "ref": "c0"})
+    store.collection("debits").insert({"_id": "d0", "ref": "c0"})
     path = tmp_path / "ledger.json"
     save(store, path)
 
@@ -89,7 +86,6 @@ def test_load_restores_documents_and_indexes(tmp_path):
     assert loaded.collection("credits").find() == [
         {"_id": "c0", "amount": 1}
     ]
-    assert loaded.collection("debits").indexes() == ["ref"]
     assert loaded.collection("debits").find({"ref": "c0"}) == [
         {"_id": "d0", "ref": "c0"}
     ]

@@ -2,7 +2,8 @@
 
 ``store.save`` encodes each document with the C JSON encoder and puts
 it on its own line, so a saved session diffs by document.  Files in
-the older indented layout, and any other JSON layout, still load.
+the older indented layout, and any other JSON layout, still load; the
+``indexes`` key older files carry is ignored.
 """
 
 import json
@@ -14,7 +15,6 @@ from repro.repository.store import load, save
 def ledger():
     store = DocumentStore(name="ledger")
     credits = store.collection("credits")
-    credits.create_index("kind")
     credits.insert({"_id": "c0", "kind": "credit", "amount": 1.5, "tags": ["a"]})
     credits.insert({"_id": "c1", "kind": "credit", "amount": None, "nested": {"z": 1, "a": [2]}})
     store.collection("debits")
@@ -23,8 +23,7 @@ def ledger():
 
 
 def contents(store):
-    snapshot = store.snapshot()
-    return store.name, snapshot["collections"], snapshot["indexes"]
+    return store.name, store.snapshot()["collections"]
 
 
 def test_one_document_per_line_with_sorted_keys(tmp_path):
@@ -34,7 +33,7 @@ def test_one_document_per_line_with_sorted_keys(tmp_path):
 
     text = path.read_text(encoding="utf-8")
     payload = json.loads(text)
-    assert list(payload) == ["collections", "indexes", "name"]
+    assert list(payload) == ["collections", "name"]
     assert list(payload["collections"]) == ["audit", "credits", "debits"]
     lines = text.splitlines()
     for collection in payload["collections"].values():
@@ -46,11 +45,15 @@ def test_one_document_per_line_with_sorted_keys(tmp_path):
 
 def test_a_store_in_the_old_indented_layout_still_loads(tmp_path):
     store = ledger()
-    name, collections, indexes = contents(store)
+    name, collections = contents(store)
     path = tmp_path / "old.json"
     with open(path, "w", encoding="utf-8") as file:
         json.dump(
-            {"name": name, "collections": collections, "indexes": indexes},
+            {
+                "name": name,
+                "collections": collections,
+                "indexes": {"credits": ["kind"]},
+            },
             file,
             indent=1,
             sort_keys=True,

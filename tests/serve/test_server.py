@@ -11,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.core.services.session import DesignSession
 from repro.serve.server import (
     MAX_BODY_BYTES,
     QuarryServer,
@@ -55,6 +56,18 @@ class TestRouting:
     def test_unknown_session_is_404(self, server):
         status, __ = call(server, "GET", "/sessions/ghost/status")
         assert status == 404
+
+    def test_a_stray_key_error_is_a_500(self, server, monkeypatch):
+        # A 404 comes from a typed error; a bare KeyError is a bug.
+        status, __ = call(server, "POST", "/sessions", {"name": "stray"})
+        assert status == 201
+
+        def broken_status(session):
+            raise KeyError("x")
+
+        monkeypatch.setattr(DesignSession, "status", broken_status)
+        status, payload = call(server, "GET", "/sessions/stray/status")
+        assert (status, payload) == (500, {"error": "KeyError: 'x'"})
 
     def test_invalid_session_name_is_400(self, server):
         status, payload = call(
